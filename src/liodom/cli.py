@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ABLATION_PRESETS, ConfigError, dump_config, load_config
+from .config import (ABLATION_PRESETS, ConfigError, config_to_dict,
+                     dump_config, load_config)
 from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                          read_oxts, read_poses, read_velodyne_bin, window_imu,
                          write_poses, write_velodyne_bin)
@@ -56,10 +57,10 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _config_from_args(args):
+def _config_from_args(args, base: dict | None = None):
     return load_config(path=getattr(args, "config", None),
                        overrides=_parse_overrides(getattr(args, "set", None)),
-                       preset=getattr(args, "preset", None))
+                       preset=getattr(args, "preset", None), base=base)
 
 
 def _add_config_flags(p):
@@ -193,33 +194,27 @@ def cmd_train(args) -> int:
             print("training loss became non-finite", file=sys.stderr)
             return EXIT_NUMERICAL
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(out / "model.ckpt", model.state_arrays(), config=cfg.describe())
+    save_checkpoint(out / "model.ckpt", model.state_arrays(), config=config_to_dict(cfg))
     print(f"saved {out / 'model.ckpt'}")
     return 0
 
 
 def cmd_infer(args) -> int:
-    cfg = _config_from_args(args)
-    model = None
-    if args.checkpoint is not None:
-        arrays, saved_cfg, _ = load_checkpoint(args.checkpoint)
-        if args.config is None and saved_cfg:
-            from .config import config_from_dict
-
-            cfg = config_from_dict({
-                "pipeline": {k: saved_cfg[k] for k in
-                             ("imu_mode", "head_mode", "head_type", "matching",
-                              "feature_dim", "encoder_widths", "lstm_hidden",
-                              "imu_window", "q_scale", "max_match_dist")},
-                "projection": saved_cfg["projection"],
-                "voxel": saved_cfg["voxel"],
-                "train": saved_cfg["train"],
-            })
-        model = OdometryModel(cfg)
-        model.load_state_arrays(arrays)
-    elif args.mode != "classical":
+    """Without --config, the checkpoint's config is the base under --preset and --set."""
+    if args.checkpoint is None and args.mode != "classical":
         print(f"mode {args.mode!r} needs --checkpoint", file=sys.stderr)
         return EXIT_USAGE
+    arrays = saved_cfg = model = None
+    if args.checkpoint is not None:
+        arrays, saved_cfg, _ = load_checkpoint(args.checkpoint)
+    cfg = _config_from_args(args, base=saved_cfg)
+    if arrays is not None:
+        model = OdometryModel(cfg)
+        try:
+            model.load_state_arrays(arrays)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{args.checkpoint} does not fit the resolved config: "
+                              f"{exc}") from exc
     pairs = _load_sequence(Path(args.data), cfg)
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     failed = flags.count("registration-failed")
@@ -265,8 +260,7 @@ def cmd_gradcheck(args) -> int:
         bwd = bwd or (lambda m, g: m.backward(g))
         y = fwd(module, x)
         g = rng.standard_normal(y.shape)
-        for p in module.parameters().values():
-            p.grad[...] = 0.0
+        module.zero_grad()
         bwd(module, g)
         worst = 0.0
         params = module.parameters()

@@ -8,6 +8,7 @@ IMU window 15, loss weights alpha=1.0 lambda=0.1, voxel side 0.3 m with
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import yaml
@@ -22,14 +23,12 @@ class ConfigError(ValueError):
     pass
 
 
+# Sections and their keys are the config dataclasses' fields; the loss
+# weights appear as pipeline.alpha and pipeline.lam.
+_NESTED = {"projection": ProjectionConfig, "voxel": VoxelParams, "train": TrainParams}
 _SECTIONS = {
-    "pipeline": {"imu_mode", "head_mode", "head_type", "matching", "feature_dim",
-                 "encoder_widths", "lstm_hidden", "imu_window", "q_scale",
-                 "max_match_dist", "alpha", "lam"},
-    "projection": {"f_w", "f_h", "eta_w", "eta_h", "H", "W"},
-    "voxel": {"side_length", "step", "target", "tolerance", "max_iterations"},
-    "train": {"learning_rate", "beta1", "beta2", "weight_decay", "lr_step_size",
-              "lr_gamma", "batch_size", "epochs", "seed"},
+    "pipeline": {f.name for f in fields(PipelineConfig)} - {"weights", *_NESTED} | {"alpha", "lam"},
+    **{sec: {f.name for f in fields(cls)} for sec, cls in _NESTED.items()},
 }
 
 # Preset config fragments matching the published ablation families.
@@ -49,12 +48,6 @@ ABLATION_PRESETS = {
 }
 
 
-def _check_keys(section: str, given: dict):
-    unknown = set(given) - _SECTIONS[section]
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = {k: dict(v) for k, v in base.items()}
     for sec, vals in override.items():
@@ -67,26 +60,38 @@ def config_from_dict(data: dict) -> PipelineConfig:
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for sec in _SECTIONS:
-        if sec in data:
-            if not isinstance(data[sec], dict):
-                raise ConfigError(f"section {sec} must be a mapping")
-            _check_keys(sec, data[sec])
+    for sec, vals in data.items():
+        if not isinstance(vals, dict):
+            raise ConfigError(f"section {sec} must be a mapping")
+        if unknown := set(vals) - _SECTIONS[sec]:
+            raise ConfigError(f"unknown {sec} keys: {sorted(unknown)}")
     pl = dict(data.get("pipeline", {}))
-    weights = LossWeights(alpha=pl.pop("alpha", 1.0), lam=pl.pop("lam", 0.1))
-    if "encoder_widths" in pl:
-        pl["encoder_widths"] = tuple(pl["encoder_widths"])
-    projection = ProjectionConfig(**data.get("projection", {}))
-    voxel = VoxelParams(**data.get("voxel", {}))
-    train = TrainParams(**data.get("train", {}))
-    return PipelineConfig(weights=weights, projection=projection, voxel=voxel,
-                          train=train, **pl)
+    try:
+        weights = LossWeights(alpha=pl.pop("alpha", 1.0), lam=pl.pop("lam", 0.1))
+        if "encoder_widths" in pl:
+            pl["encoder_widths"] = tuple(pl["encoder_widths"])
+        return PipelineConfig(weights=weights, **pl, **{
+            sec: cls(**data.get(sec, {})) for sec, cls in _NESTED.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def config_to_dict(cfg: PipelineConfig) -> dict:
+    """Plain-data sections of cfg; the exact inverse of config_from_dict."""
+    pipeline = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                if f.name in _SECTIONS["pipeline"]}
+    pipeline["encoder_widths"] = list(cfg.encoder_widths)
+    pipeline.update(alpha=cfg.weights.alpha, lam=cfg.weights.lam)
+    return {"pipeline": pipeline, **{sec: asdict(getattr(cfg, sec)) for sec in _NESTED}}
 
 
 def load_config(path=None, overrides: dict | None = None,
-                preset: str | None = None) -> PipelineConfig:
-    """Config file -> preset -> flag overrides, later wins."""
-    data: dict = {}
+                preset: str | None = None, base: dict | None = None) -> PipelineConfig:
+    """Config file (without one, the `base` sections) -> preset -> flag overrides.
+
+    Later layers win.
+    """
+    data = base or {}
     if path is not None:
         loaded = yaml.safe_load(Path(path).read_text()) or {}
         if not isinstance(loaded, dict):
@@ -103,19 +108,4 @@ def load_config(path=None, overrides: dict | None = None,
 
 def dump_config(cfg: PipelineConfig, path):
     """Write the fully resolved configuration next to a run's outputs."""
-    d = cfg.describe()
-    out = {
-        "pipeline": {
-            "imu_mode": d["imu_mode"], "head_mode": d["head_mode"],
-            "head_type": d["head_type"], "matching": d["matching"],
-            "feature_dim": d["feature_dim"],
-            "encoder_widths": list(d["encoder_widths"]),
-            "lstm_hidden": d["lstm_hidden"], "imu_window": d["imu_window"],
-            "q_scale": d["q_scale"], "max_match_dist": d["max_match_dist"],
-            "alpha": d["weights"]["alpha"], "lam": d["weights"]["lam"],
-        },
-        "projection": d["projection"],
-        "voxel": d["voxel"],
-        "train": d["train"],
-    }
-    Path(path).write_text(yaml.safe_dump(out, sort_keys=False))
+    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))

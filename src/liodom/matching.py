@@ -1,11 +1,14 @@
 """Correspondence search and the unsupervised registration losses.
 
 Nearest-neighbor matching runs on a KD-tree over the target cloud (exact,
-verified against linear scan in the tests); the pixel-to-pixel variant
-matches identical map coordinates. The point-to-plane loss sums absolute
-projections of match residuals onto target normals; the plane-to-plane loss
-sums squared differences of matched unit normals. Gradients treat the
-correspondences as frozen.
+verified against linear scan in the tests). The point-to-plane loss sums
+absolute projections of match residuals onto target normals; the
+plane-to-plane loss sums squared differences of matched unit normals.
+
+`residuals` is the one kernel for both terms as functions of the pose:
+their unweighted residuals and pose Jacobians with the correspondences
+frozen. The loss, its gradient, Gauss-Newton registration and the
+composed-pose gradient of training are all built on it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from scipy.spatial import cKDTree
 
 from .geometry import Pose, rotation_derivatives
 from .preprocess import PreprocessedCloud
-from .range_image import NormalMap, VertexMap
 
 
 class EmptyMatchError(RuntimeError):
@@ -41,7 +43,7 @@ class CorrespondenceSet:
     tgt_points: np.ndarray    # (M, 3)
     tgt_normals: np.ndarray   # (M, 3)
     distances: np.ndarray     # (M,)
-    src_index: np.ndarray     # (M,) indices into the source cloud, -1 for pixel matches
+    src_index: np.ndarray     # (M,) indices of the matched points in the source cloud
 
     def __len__(self):
         return len(self.distances)
@@ -69,7 +71,6 @@ def match_nearest(
     source: PreprocessedCloud,
     index: KdIndex,
     max_dist: float = 1.0,
-    src_index: np.ndarray | None = None,
 ) -> CorrespondenceSet:
     """Match each (already transformed) source point to its nearest target.
 
@@ -81,36 +82,13 @@ def match_nearest(
     if not keep.any():
         raise EmptyMatchError(f"no matches within {max_dist} m")
     tgt = index.cloud
-    sidx = np.flatnonzero(keep) if src_index is None else np.asarray(src_index)[keep]
     return CorrespondenceSet(
         src_points=source.points[keep],
         src_normals=source.normals[keep],
         tgt_points=tgt.points[tgt_idx[keep]],
         tgt_normals=tgt.normals[tgt_idx[keep]],
         distances=dist[keep],
-        src_index=sidx,
-    )
-
-
-def match_pixel(
-    v_last: VertexMap,
-    v_cur: VertexMap,
-    n_last: NormalMap,
-    n_cur: NormalMap,
-) -> CorrespondenceSet:
-    """Match the points sharing a pixel in the last and remapped current maps."""
-    if v_last.shape != v_cur.shape:
-        raise ValueError("maps must share dimensions")
-    both = v_last.valid & v_cur.valid & n_last.valid & n_cur.valid
-    sp = v_cur.grid[both]
-    tp = v_last.grid[both]
-    return CorrespondenceSet(
-        src_points=sp,
-        src_normals=n_cur.grid[both],
-        tgt_points=tp,
-        tgt_normals=n_last.grid[both],
-        distances=np.linalg.norm(sp - tp, axis=1),
-        src_index=np.full(int(both.sum()), -1, dtype=np.int64),
+        src_index=np.flatnonzero(keep),
     )
 
 
@@ -135,11 +113,38 @@ def total_loss(corr: CorrespondenceSet, weights: LossWeights = LossWeights()) ->
     return weights.alpha * point_to_plane_loss(corr) + weights.lam * plane_to_plane_loss(corr)
 
 
-def frozen_correspondences(corr: CorrespondenceSet, source: PreprocessedCloud):
-    """Original source points/normals for the matched indices."""
+def transformed_cloud(cloud: PreprocessedCloud, pose: Pose) -> PreprocessedCloud:
+    """The cloud moved by pose: points to R p + t, normals to R n."""
+    R = pose.rotation
+    return PreprocessedCloud(points=cloud.points @ R.T + pose.t, normals=cloud.normals @ R.T)
+
+
+def residuals(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
+    """Unweighted residuals and pose Jacobians of both loss terms, matches frozen.
+
+    The matched source points s and normals n_s are taken from `source` at
+    `corr.src_index` and moved by the pose 6-vector p. Returns (r1, J1, r2, J2):
+    r1 = n_t . (R s + t - t_p), shape (M,), and r2 = (R n_s - n_t).ravel(),
+    shape (3M,), with their Jacobians J1 (M, 6) and J2 (3M, 6). The
+    translation columns of J2 are zero: normals do not move with t.
+    """
     if (corr.src_index < 0).any():
         raise ValueError("correspondence set lacks source indices")
-    return source.points[corr.src_index], source.normals[corr.src_index]
+    p = np.asarray(p, dtype=float).reshape(6)
+    pose = Pose.from_vector(p)
+    R = pose.rotation
+    sp = source.points[corr.src_index]
+    sn = source.normals[corr.src_index]
+    nt = corr.tgt_normals
+    r1 = np.einsum("mi,mi->m", nt, sp @ R.T + pose.t - corr.tgt_points)
+    r2 = (sn @ R.T - nt).ravel()
+    J1 = np.empty((len(nt), 6))
+    J2 = np.zeros((r2.size, 6))
+    for i, dR in enumerate(rotation_derivatives(p[:3])):
+        J1[:, i] = np.einsum("mi,mi->m", nt, sp @ dR.T)
+        J2[:, i] = (sn @ dR.T).ravel()
+    J1[:, 3:] = nt
+    return r1, J1, r2, J2
 
 
 def loss_at_pose(
@@ -149,13 +154,8 @@ def loss_at_pose(
     weights: LossWeights = LossWeights(),
 ) -> float:
     """Total loss with matches frozen, as a function of the pose 6-vector."""
-    pose = Pose.from_vector(p)
-    sp, sn = frozen_correspondences(corr, source)
-    moved = sp @ pose.rotation.T + pose.t
-    rotated = sn @ pose.rotation.T
-    res = np.einsum("mi,mi->m", corr.tgt_normals, moved - corr.tgt_points)
-    diff = rotated - corr.tgt_normals
-    return float(weights.alpha * np.abs(res).sum() + weights.lam * np.einsum("mi,mi->", diff, diff))
+    r1, _, r2, _ = residuals(p, source, corr)
+    return float(weights.alpha * np.abs(r1).sum() + weights.lam * (r2 @ r2))
 
 
 def loss_gradient(
@@ -169,21 +169,5 @@ def loss_gradient(
     The absolute value in the point-to-plane term uses subgradient 0 at
     exactly-zero residuals.
     """
-    p = np.asarray(p, dtype=float).reshape(6)
-    pose = Pose.from_vector(p)
-    R = pose.rotation
-    dRs = rotation_derivatives(p[:3])
-    sp, sn = frozen_correspondences(corr, source)
-    moved = sp @ R.T + pose.t
-    res = np.einsum("mi,mi->m", corr.tgt_normals, moved - corr.tgt_points)
-    sign = np.sign(res)
-    grad = np.zeros(6)
-    # point-to-plane: d|r|/dp = sign(r) * n_t^T dp'/dp
-    for i, dR in enumerate(dRs):
-        grad[i] += weights.alpha * np.sum(sign * np.einsum("mi,mi->m", corr.tgt_normals, sp @ dR.T))
-    grad[3:] += weights.alpha * (sign[:, None] * corr.tgt_normals).sum(axis=0)
-    # plane-to-plane: d||Rn - n_t||^2/dq = 2 (Rn - n_t) . (dR n)
-    diff = sn @ R.T - corr.tgt_normals
-    for i, dR in enumerate(dRs):
-        grad[i] += weights.lam * 2.0 * np.einsum("mi,mi->", diff, sn @ dR.T)
-    return grad
+    r1, J1, r2, J2 = residuals(p, source, corr)
+    return weights.alpha * (np.sign(r1) @ J1) + 2.0 * weights.lam * (r2 @ J2)

@@ -71,6 +71,8 @@ class ChannelNorm(Module):
     output is computed. This keeps the backward pass exactly affine.
     """
 
+    buffer_names = ("running_mean", "running_var")
+
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         self.gamma = Param(np.ones(channels))
         self.beta = Param(np.zeros(channels))
@@ -78,7 +80,6 @@ class ChannelNorm(Module):
         self.running_var = np.ones(channels)
         self.momentum = momentum
         self.eps = eps
-        self.training = False
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -117,11 +118,6 @@ class ResBlock(Module):
             self.proj = Conv2d(in_ch, out_ch, 1, stride=stride, pad=0, rng=rng)
             self.proj_norm = ChannelNorm(out_ch)
         self._cache = None
-
-    def set_training(self, flag: bool):
-        for m in (self.norm1, self.norm2, self.proj_norm):
-            if m is not None:
-                m.training = flag
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         a = self.norm1(self.conv1(x))
@@ -167,11 +163,6 @@ class MapEncoder(Module):
         self.head = Linear(c2, feature_dim, rng)
         self.feature_dim = feature_dim
         self._cache = None
-
-    def set_training(self, flag: bool):
-        self.stem_norm.training = flag
-        for b in self.blocks:
-            b.set_training(flag)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -33,10 +33,6 @@ class Adam:
             vhat = v / (1.0 - b2 ** self.t)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad[...] = 0.0
-
 
 class StepLR:
     """Multiply the learning rate by gamma every `step_size` epochs."""

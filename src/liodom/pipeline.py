@@ -5,16 +5,18 @@ are remapped by it, residual rotation/translation come from encoder
 features through the configured heads, and the final estimate is the
 composition residual * initial. Training backpropagates the registration
 loss through the composition into both branches with correspondences
-frozen; gradients are not propagated through the discrete remap.
+frozen: both factor gradients are `matching.loss_gradient` calls, one on
+the hat-moved source and one against targets pulled back through the
+residual. Gradients are not propagated through the discrete remap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose, compose, rotation_derivatives
+from .geometry import Pose, compose
 from .matching import (
     CorrespondenceSet,
     EmptyMatchError,
@@ -23,9 +25,12 @@ from .matching import (
     build_index,
     loss_gradient,
     match_nearest,
+    plane_to_plane_loss,
+    point_to_plane_loss,
     total_loss,
+    transformed_cloud,
 )
-from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, StepLR
+from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, Module, StepLR
 from .preprocess import PreprocessedCloud, VoxelParams
 from .range_image import NormalMap, ProjectionConfig, VertexMap, compute_normal_map, project, project_with_indices, remap
 from .registration import RegistrationError, RegistrationOptions, register
@@ -76,11 +81,6 @@ class PipelineConfig:
         if self.matching not in MATCHING:
             raise ValueError(f"matching must be one of {MATCHING}")
 
-    def describe(self) -> dict:
-        d = asdict(self)
-        d["weights"] = {"alpha": self.weights.alpha, "lam": self.weights.lam}
-        return d
-
 
 @dataclass
 class FramePair:
@@ -105,11 +105,12 @@ def _make_head(head_type: str, dim: int, rng):
     return AttentionHead(dim, rng) if head_type == "attention" else FcActivationHead(dim, rng)
 
 
-class OdometryModel:
+class OdometryModel(Module):
     """Siamese IMU LSTMs, map-pair encoders, and residual-pose heads.
 
     Output FC layers are zero-initialized so the untrained network emits
-    the identity pose.
+    the identity pose. In merged and vertex-only head modes head_q is
+    head_t, so its parameters are named and stepped once, as head_t.
     """
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator | None = None):
@@ -136,92 +137,19 @@ class OdometryModel:
             self.head_t = self.head_q = _make_head(cfg.head_type, shared, rng)
         self.out_t = Linear(self.t_dim, 3, zero_init=True)
         self.out_q = Linear(self.q_dim, 3, zero_init=True)
-        self._cache = None
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def _submodules(self) -> dict:
-        mods = {
-            "lstm_gyro": self.lstm_gyro, "lstm_acc": self.lstm_acc,
-            "fc_q_init": self.fc_q_init, "fc_t_init": self.fc_t_init,
-            "vertex_encoder": self.vertex_encoder,
-            "out_t": self.out_t, "out_q": self.out_q,
-            "head_t": self.head_t,
-        }
-        if self.head_q is not self.head_t:
-            mods["head_q"] = self.head_q
-        if self.normal_encoder is not None:
-            mods["normal_encoder"] = self.normal_encoder
-        return mods
-
-    def parameters(self):
-        out = {}
-        for name, mod in self._submodules().items():
-            for sub, p in mod.parameters().items():
-                out[f"{name}.{sub}"] = p
-        return out
-
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.grad[...] = 0.0
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.parameters().values())
-
-    def set_training(self, flag: bool):
-        self.vertex_encoder.set_training(flag)
-        if self.normal_encoder is not None:
-            self.normal_encoder.set_training(flag)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: p.value for name, p in self.parameters().items()}
-        for enc_name in ("vertex_encoder", "normal_encoder"):
-            enc = getattr(self, enc_name)
-            if enc is None:
-                continue
-            norms = [("stem_norm", enc.stem_norm)]
-            for i, b in enumerate(enc.blocks):
-                norms += [(f"blocks.{i}.norm1", b.norm1), (f"blocks.{i}.norm2", b.norm2)]
-                if b.proj_norm is not None:
-                    norms.append((f"blocks.{i}.proj_norm", b.proj_norm))
-            for nname, norm in norms:
-                arrays[f"{enc_name}.{nname}.running_mean"] = norm.running_mean
-                arrays[f"{enc_name}.{nname}.running_var"] = norm.running_var
-        return arrays
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        for name, value in arrays.items():
-            target = self.state_arrays().get(name)
-            if target is None:
-                raise KeyError(f"unknown parameter {name}")
-            if target.shape != np.shape(value):
-                raise ValueError(f"{name}: shape {np.shape(value)} != {target.shape}")
-        params = self.parameters()
-        for name, value in arrays.items():
-            if name in params:
-                params[name].value[...] = value
-        state = self.state_arrays()
-        for name, value in arrays.items():
-            if name not in params:
-                state[name][...] = value
 
     # -- forward / backward -------------------------------------------------
 
-    def imu_initial_pose(self, window: np.ndarray) -> Pose:
-        """Angular-velocity LSTM -> q, linear-acceleration LSTM -> t."""
+    def imu_hidden(self, window: np.ndarray):
+        """Final hidden states (1, H) of the angular-velocity and linear-acceleration LSTMs."""
         window = np.asarray(window, dtype=float)
         _, h_g = self.lstm_gyro(window[None, :, 3:6])
         _, h_a = self.lstm_acc(window[None, :, 0:3])
-        q_hat = self.fc_q_init(h_g)[0]
-        t_hat = self.fc_t_init(h_a)[0]
-        self._imu_hidden = (h_g, h_a)
-        return Pose(q=q_hat, t=t_hat)
+        return h_g, h_a
 
-    def _imu_features(self, window: np.ndarray) -> np.ndarray:
-        window = np.asarray(window, dtype=float)
-        _, h_g = self.lstm_gyro(window[None, :, 3:6])
-        _, h_a = self.lstm_acc(window[None, :, 0:3])
-        return np.concatenate([h_g[0], h_a[0]])
+    def imu_initial_pose(self, h_g: np.ndarray, h_a: np.ndarray) -> Pose:
+        """Gyro hidden state -> q, accelerometer hidden state -> t."""
+        return Pose(q=self.fc_q_init(h_g)[0], t=self.fc_t_init(h_a)[0])
 
     def residual_pose(self, v_pair: np.ndarray, n_pair: np.ndarray | None,
                       imu_feats: np.ndarray | None) -> Pose:
@@ -301,18 +229,17 @@ def estimate_pair(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     """Forward pass for one pair: returns (Pose, PairDiagnostics)."""
     t_hat = Pose.identity()
     imu_feats = None
-    if cfg.imu_mode == "initial-pose":
+    # feature-concat and none skip the remap step entirely
+    v_cur, n_cur = fp.v_cur, fp.n_cur
+    if cfg.imu_mode != "none":
         if fp.imu is None:
-            raise ValueError("imu_mode=initial-pose requires an IMU window")
-        t_hat = model.imu_initial_pose(fp.imu)
-        v_cur, n_cur = remap(fp.v_cur, fp.n_cur, t_hat, cfg.projection)
-    else:
-        # feature-concat and none skip the remap step entirely
-        v_cur, n_cur = fp.v_cur, fp.n_cur
-        if cfg.imu_mode == "feature-concat":
-            if fp.imu is None:
-                raise ValueError("imu_mode=feature-concat requires an IMU window")
-            imu_feats = model._imu_features(fp.imu)
+            raise ValueError(f"imu_mode={cfg.imu_mode} requires an IMU window")
+        h_g, h_a = model.imu_hidden(fp.imu)
+        if cfg.imu_mode == "initial-pose":
+            t_hat = model.imu_initial_pose(h_g, h_a)
+            v_cur, n_cur = remap(fp.v_cur, fp.n_cur, t_hat, cfg.projection)
+        else:
+            imu_feats = np.concatenate([h_g[0], h_a[0]])
     v_pair = np.concatenate([_map_tensor(fp.v_last), _map_tensor(v_cur)])
     n_pair = None
     if model.normal_encoder is not None:
@@ -324,11 +251,6 @@ def estimate_pair(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
 
 def _map_tensor(m) -> np.ndarray:
     return np.transpose(m.grid, (2, 0, 1))
-
-
-def transformed_cloud(cloud: PreprocessedCloud, pose: Pose) -> PreprocessedCloud:
-    R = pose.rotation
-    return PreprocessedCloud(cloud.points @ R.T + pose.t, cloud.normals @ R.T)
 
 
 def pixel_correspondences(fp: FramePair, pose: Pose, cfg: ProjectionConfig):
@@ -372,30 +294,20 @@ def composed_pose_gradients(p_delta: np.ndarray, p_hat: np.ndarray,
                             weights: LossWeights):
     """Loss gradients w.r.t. both composition factors, matches frozen.
 
-    The composed transform is p = R_d (R_h s + t_h) + t_d, so the delta
-    gradient is the plain pose gradient over the hat-transformed source,
-    and the hat gradient chains through R_d.
+    The composed transform is y = R_h s + t_h, then R_d y + t_d. The delta
+    gradient is the plain pose gradient over the hat-moved source. The hat
+    gradient is the plain pose gradient against targets pulled back through
+    the delta, n_t -> R_d^T n_t and t_p -> R_d^T (t_p - t_d), since
+    n_t . (R_d y + t_d - t_p) = (R_d^T n_t) . (y - R_d^T (t_p - t_d)) and
+    |R_d m - n_t| = |m - R_d^T n_t|.
     """
     hat = Pose.from_vector(p_hat)
     delta = Pose.from_vector(p_delta)
-    hat_source = transformed_cloud(source, hat)
-    grad_delta = loss_gradient(p_delta, hat_source, corr, weights)
-
+    grad_delta = loss_gradient(p_delta, transformed_cloud(source, hat), corr, weights)
     R_d = delta.rotation
-    R_h = hat.rotation
-    dR_h = rotation_derivatives(p_hat[:3])
-    sp = source.points[corr.src_index]
-    sn = source.normals[corr.src_index]
-    moved = (sp @ R_h.T + hat.t) @ R_d.T + delta.t
-    res = np.einsum("mi,mi->m", corr.tgt_normals, moved - corr.tgt_points)
-    sign = np.sign(res)
-    diff = (sn @ R_h.T) @ R_d.T - corr.tgt_normals
-    grad_hat = np.zeros(6)
-    for i, dR in enumerate(dR_h):
-        dp = (sp @ dR.T) @ R_d.T
-        grad_hat[i] += weights.alpha * np.sum(sign * np.einsum("mi,mi->m", corr.tgt_normals, dp))
-        grad_hat[i] += weights.lam * 2.0 * np.einsum("mi,mi->", diff, (sn @ dR.T) @ R_d.T)
-    grad_hat[3:] = weights.alpha * ((sign[:, None] * corr.tgt_normals) @ R_d).sum(axis=0)
+    pulled = replace(corr, tgt_points=(corr.tgt_points - delta.t) @ R_d,
+                     tgt_normals=corr.tgt_normals @ R_d)
+    grad_hat = loss_gradient(p_hat, source, pulled, weights)
     return grad_delta, grad_hat
 
 
@@ -411,8 +323,6 @@ class EpochStats:
 
 def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     """Forward + backward for one pair; gradients accumulate on the model."""
-    from .matching import plane_to_plane_loss, point_to_plane_loss
-
     pose, diag = estimate_pair(fp, model, cfg)
     source, corr, loss = pair_loss(fp, pose, cfg)
     diag.matches = len(corr)

@@ -109,10 +109,17 @@ def ransac_ground_removal(
 
 def _voxel_bin(points: np.ndarray, side: float):
     keys = np.floor(points / side).astype(np.int64)
+    if len(keys):
+        keys -= keys.min(axis=0)
+        span = [int(s) + 1 for s in keys.max(axis=0)]
+        if span[0] * span[1] * span[2] < 2**63:
+            # One int64 code per voxel, ordered like its (x, y, z) key: a
+            # 1-D unique is about ten times faster than a row-wise one.
+            keys = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
     # Sorted unique keys make the output order deterministic and
     # independent of any internal parallel split.
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return inverse, first.size
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return inverse, len(unique)
 
 
 def _voxel_reduce(points, normals, inverse, n_voxels):

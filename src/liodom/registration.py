@@ -1,9 +1,11 @@
 """Classical frame-to-frame registration by minimizing the unsupervised loss.
 
-Gauss-Newton on squared point-to-plane residuals plus the weighted normal
-term, with halving line search; the absolute-value loss is used only for
-reporting. Outer iterations re-match, inner iterations descend under a
-fixed matching.
+Gauss-Newton on the residuals of `matching.residuals`: the point-to-plane
+rows weighted by sqrt(alpha) and the normal rows by sqrt(lambda), so the
+squared cost is the loss with the absolute value replaced by a square. A
+halving line search keeps each step downhill; the absolute-value loss is
+used only for reporting. Outer iterations re-match, inner iterations
+descend under a fixed matching.
 """
 
 from __future__ import annotations
@@ -12,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, rotation_derivatives
+from .geometry import Pose
 from .matching import (
-    CorrespondenceSet,
     EmptyMatchError,
-    KdIndex,
     LossWeights,
     build_index,
-    frozen_correspondences,
     loss_at_pose,
     match_nearest,
+    residuals,
+    transformed_cloud,
 )
 from .preprocess import PreprocessedCloud
 
@@ -55,42 +56,6 @@ class RegistrationError(RuntimeError):
         self.pose = pose
 
 
-def _transform_cloud(cloud: PreprocessedCloud, pose: Pose) -> PreprocessedCloud:
-    R = pose.rotation
-    return PreprocessedCloud(
-        points=cloud.points @ R.T + pose.t,
-        normals=cloud.normals @ R.T,
-    )
-
-
-def _gauss_newton_system(p, source, corr: CorrespondenceSet, w: LossWeights):
-    """Stacked residuals/Jacobian of the squared-loss surrogate at pose p."""
-    pose = Pose.from_vector(p)
-    R = pose.rotation
-    dRs = rotation_derivatives(p[:3])
-    sp, sn = frozen_correspondences(corr, source)
-    m = len(corr)
-    moved = sp @ R.T + pose.t
-    r1 = np.sqrt(w.alpha) * np.einsum("mi,mi->m", corr.tgt_normals, moved - corr.tgt_points)
-    J1 = np.empty((m, 6))
-    for i, dR in enumerate(dRs):
-        J1[:, i] = np.einsum("mi,mi->m", corr.tgt_normals, sp @ dR.T)
-    J1[:, 3:] = corr.tgt_normals
-    J1 *= np.sqrt(w.alpha)
-    if w.lam > 0:
-        r2 = np.sqrt(w.lam) * (sn @ R.T - corr.tgt_normals).ravel()
-        J2 = np.zeros((3 * m, 6))
-        for i, dR in enumerate(dRs):
-            J2[:, i] = np.sqrt(w.lam) * (sn @ dR.T).ravel()
-        return np.concatenate([r1, r2]), np.vstack([J1, J2])
-    return r1, J1
-
-
-def _squared_cost(p, source, corr, w: LossWeights):
-    r, _ = _gauss_newton_system(p, source, corr, w)
-    return float(r @ r)
-
-
 def register(
     source: PreprocessedCloud,
     target: PreprocessedCloud,
@@ -101,10 +66,20 @@ def register(
     index = build_index(target)
     p = init.as_vector()
     diag = RegistrationDiagnostics()
+    sqrt_alpha, sqrt_lam = np.sqrt(opts.weights.alpha), np.sqrt(opts.weights.lam)
+
+    def weighted(p):
+        """Stacked weighted residual and Jacobian under the current matches."""
+        r1, J1, r2, J2 = residuals(p, source, corr)
+        if sqrt_lam > 0:
+            return (np.concatenate([sqrt_alpha * r1, sqrt_lam * r2]),
+                    np.vstack([sqrt_alpha * J1, sqrt_lam * J2]))
+        return sqrt_alpha * r1, sqrt_alpha * J1
+
     for outer in range(opts.max_outer):
         diag.outer_iterations = outer + 1
         try:
-            corr = match_nearest(_transform_cloud(source, Pose.from_vector(p)),
+            corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
                                  index, max_dist=opts.max_match_dist)
         except EmptyMatchError as exc:
             if outer == 0:
@@ -113,14 +88,15 @@ def register(
         diag.match_counts.append(len(corr))
         moved_outer = False
         for _ in range(opts.max_inner):
-            r, J = _gauss_newton_system(p, source, corr, opts.weights)
+            r, J = weighted(p)
             A = J.T @ J + 1e-9 * np.eye(6)
             delta = np.linalg.solve(A, -(J.T @ r))
             cost = float(r @ r)
             step = 1.0
             for _ in range(12):
                 candidate = p + step * delta
-                if _squared_cost(candidate, source, corr, opts.weights) < cost:
+                r_c, _ = weighted(candidate)
+                if float(r_c @ r_c) < cost:
                     break
                 step *= 0.5
             else:

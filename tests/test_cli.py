@@ -63,7 +63,7 @@ class TestConfigLoading:
         out = tmp_path / "resolved.yaml"
         dump_config(cfg, out)
         again = load_config(out)
-        assert again.describe() == cfg.describe()
+        assert again == cfg
 
 
 def _synth(tmp_path, frames=4):
@@ -133,10 +133,62 @@ class TestCliRoundTrip:
         assert len(read_poses(out)) == 3
 
 
+# A short voxel walk: these tests check the resolved config, not the clouds.
+SHORT_WALK = ["--set", "voxel.max_iterations=5"]
+
+
+@pytest.fixture(scope="module")
+def lam0_run(tmp_path_factory):
+    """A two-scan sequence and a one-epoch checkpoint trained with lam=0."""
+    tmp = tmp_path_factory.mktemp("lam0")
+    data = _synth(tmp, frames=2)
+    run = tmp / "run"
+    assert main(["train", "--data", str(data), "--output-dir", str(run),
+                 "--set", "train.epochs=1", "--set", "pipeline.lam=0.0"]
+                + TINY_FLAGS + SHORT_WALK) == 0
+    return data, run / "model.ckpt"
+
+
+class TestInferConfig:
+    """infer with --checkpoint and no --config: checkpoint, then --preset, then --set."""
+
+    def _infer(self, tmp_path, run, *flags):
+        data, ckpt = run
+        est = tmp_path / "est.txt"
+        code = main(["infer", "--data", str(data), "--output", str(est),
+                     "--checkpoint", str(ckpt), "--mode", "learned", *SHORT_WALK, *flags])
+        return code, est.with_suffix(".config.yaml")
+
+    def test_preset_and_set_apply_over_checkpoint(self, tmp_path, lam0_run):
+        code, resolved = self._infer(tmp_path, lam0_run, "--preset", "pixel-matching",
+                                     "--set", "pipeline.max_match_dist=2.5")
+        assert code == 0
+        cfg = load_config(resolved)
+        assert (cfg.matching, cfg.max_match_dist, cfg.weights.lam) == ("pixel", 2.5, 0.0)
+
+    def test_loss_weights_restored(self, tmp_path, lam0_run):
+        code, resolved = self._infer(tmp_path, lam0_run)
+        assert code == 0
+        cfg = load_config(resolved)
+        assert cfg.weights.lam == 0.0 and cfg.feature_dim == 16
+
+    def test_mismatched_checkpoint_is_config_error(self, tmp_path, lam0_run, capsys):
+        wide = tmp_path / "wide.yaml"
+        wide.write_text(yaml.safe_dump({"pipeline": {"feature_dim": 32}}))
+        code, _ = self._infer(tmp_path, lam0_run, "--config", str(wide))
+        assert code == 1
+        assert "configuration error:" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_on_bad_config(self, tmp_path):
         assert main(["preprocess", "--input", "x", "--output", "y",
                      "--set", "bogus.key=1"]) == 1
+
+    def test_usage_error_on_invalid_value(self, capsys):
+        assert main(["preprocess", "--input", "x", "--output", "y",
+                     "--set", "pipeline.imu_mode=bogus"]) == 1
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_usage_error_on_unknown_flag(self):
         assert main(["preprocess", "--nonsense"]) == 1

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from liodom.geometry import Pose
+from liodom.geometry import Pose, euler_to_matrix
 from liodom.matching import (CorrespondenceSet, EmptyMatchError, KdIndex,
                              LossWeights, build_index, loss_at_pose,
-                             loss_gradient, match_nearest, match_pixel,
+                             loss_gradient, match_nearest,
                              plane_to_plane_loss, point_to_plane_loss,
                              total_loss)
+from liodom.pipeline import FramePair, pixel_correspondences
 from liodom.preprocess import PreprocessedCloud
 from liodom.range_image import ProjectionConfig, compute_normal_map, project
 from liodom.synth import SceneSpec, Box, sample_scene, scan_from_pose
@@ -110,14 +111,27 @@ class TestMatchNearest:
             match_nearest(src, build_index(tgt), max_dist=1.0)
 
 
+def _map_pair(last, cur, cfg):
+    """FramePair over the maps of two point arrays; pixel matching needs no clouds."""
+    vl, vc = project(last, cfg), project(cur, cfg)
+    return FramePair(v_last=vl, n_last=compute_normal_map(vl),
+                     v_cur=vc, n_cur=compute_normal_map(vc),
+                     last_cloud=None, cur_cloud=None)
+
+
 class TestMatchPixel:
     def test_disjoint_masks_empty(self):
         cfg = ProjectionConfig(f_w=30.0, f_h=15.0, eta_w=1.0, eta_h=1.0, H=30, W=60)
-        a = project(np.array([[5.0, 0.0, 0.0]]), cfg)
-        b = project(np.array([[5.0, 2.0, 0.0]]), cfg)
-        na, nb = compute_normal_map(a), compute_normal_map(b)
-        corr = match_pixel(a, b, na, nb)
-        assert len(corr) == 0
+
+        def wall(y0, y1):
+            # dense patch of the plane x = 5 m, every covered pixel gets a normal
+            y, z = np.meshgrid(np.arange(y0, y1, 0.02), np.arange(-1.0, 1.0, 0.02))
+            return np.stack([np.full(y.size, 5.0), y.ravel(), z.ravel()], axis=1)
+
+        fp = _map_pair(wall(-1.8, -0.45), wall(0.45, 1.8), cfg)
+        assert fp.n_last.valid.any() and fp.n_cur.valid.any()
+        with pytest.raises(EmptyMatchError):
+            pixel_correspondences(fp, Pose.identity(), cfg)
 
     def test_fewer_correct_matches_than_nearest(self):
         cfg = ProjectionConfig(f_w=180.0, f_h=23.0, eta_w=1.0, eta_h=1.0,
@@ -128,10 +142,8 @@ class TestMatchPixel:
         motion = Pose(q=[0.0, 0.0, 0.03], t=[0.25, 0.05, 0.0])
         s_last = scan_from_pose(scene, Pose.identity())
         s_cur = scan_from_pose(scene, motion)
-        vl = project(s_last.points, cfg)
-        vc = project(s_cur.points, cfg)
-        nl, nc = compute_normal_map(vl), compute_normal_map(vc)
-        pix = match_pixel(vl, vc, nl, nc)
+        _, pix = pixel_correspondences(_map_pair(s_last.points, s_cur.points, cfg),
+                                       Pose.identity(), cfg)
 
         # ground truth: the true correspondence maps cur through the motion
         moved = s_cur.points @ motion.rotation.T + motion.t
@@ -162,10 +174,11 @@ class TestLossGradient:
         corr = match_nearest(src, build_index(tgt))
         return src, corr
 
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("alpha,lam", [(1.0, 0.1), (1.0, 0.0), (0.0, 1.0), (0.3, 2.0)])
+    def test_matches_finite_differences(self, alpha, lam):
         src, corr = self._setup()
         rng = np.random.default_rng(1)
-        w = LossWeights()
+        w = LossWeights(alpha=alpha, lam=lam)
         for _ in range(5):
             p = rng.uniform(-0.1, 0.1, 6)
             g = loss_gradient(p, src, corr, w)
@@ -176,6 +189,22 @@ class TestLossGradient:
                 fd = (loss_at_pose(p + dp, src, corr, w)
                       - loss_at_pose(p - dp, src, corr, w)) / (2 * eps)
                 assert abs(g[k] - fd) < 1e-5 * max(1.0, abs(fd))
+
+    def test_loss_at_pose_matches_total_loss_oracle(self):
+        # the kernel's residuals against total_loss on the matches moved by hand
+        src, corr = self._setup()
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            p = rng.uniform(-0.1, 0.1, 6)
+            w = LossWeights(alpha=rng.uniform(0, 2), lam=rng.uniform(0, 2))
+            R = euler_to_matrix(p[:3])
+            moved = CorrespondenceSet(
+                src_points=src.points[corr.src_index] @ R.T + p[3:],
+                src_normals=src.normals[corr.src_index] @ R.T,
+                tgt_points=corr.tgt_points, tgt_normals=corr.tgt_normals,
+                distances=corr.distances, src_index=corr.src_index)
+            assert loss_at_pose(p, src, corr, w) == pytest.approx(
+                total_loss(moved, w), rel=1e-12, abs=1e-12)
 
     def test_zero_residual_subgradient(self):
         # exactly overlapping pair: the absolute value kink contributes 0

@@ -1,14 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
-from liodom.matching import LossWeights
+from liodom.matching import transformed_cloud
 from liodom.nn import Adam, StepLR
-from liodom.pipeline import (FramePair, OdometryModel, PipelineConfig,
+from liodom.pipeline import (OdometryModel, PipelineConfig,
                              TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
-                             pair_loss, run_sequence, train_epoch, train_step,
-                             transformed_cloud)
+                             pair_loss, run_sequence, train_epoch, train_step)
 from liodom.preprocess import VoxelParams
 from liodom.range_image import ProjectionConfig
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
@@ -24,14 +27,7 @@ TINY = PipelineConfig(
 
 
 def _tiny_cfg(**kw):
-    base = TINY.describe()
-    weights = LossWeights(**base.pop("weights"))
-    base["projection"] = ProjectionConfig(**base["projection"])
-    base["voxel"] = VoxelParams(**base["voxel"])
-    base["train"] = TrainParams(**base["train"])
-    base["encoder_widths"] = tuple(base["encoder_widths"])
-    base.update(kw)
-    return PipelineConfig(weights=weights, **base)
+    return dataclasses.replace(TINY, **kw)
 
 
 def _scene():
@@ -73,9 +69,10 @@ class TestConfig:
         assert cfg.weights.alpha == 1.0 and cfg.weights.lam == 0.1
         assert cfg.q_scale == 0.1
 
-    def test_describe_is_plain_data(self):
-        d = PipelineConfig().describe()
-        assert d["weights"] == {"alpha": 1.0, "lam": 0.1}
+    def test_config_dict_is_plain_data(self):
+        d = config_to_dict(PipelineConfig())
+        assert json.loads(json.dumps(d)) == d
+        assert (d["pipeline"]["alpha"], d["pipeline"]["lam"]) == (1.0, 0.1)
         assert d["projection"]["H"] == 52 and d["projection"]["W"] == 720
 
 
@@ -251,6 +248,32 @@ class TestStateRoundTrip:
         name = next(iter(model.state_arrays()))
         with pytest.raises(ValueError):
             model.load_state_arrays({name: np.zeros((1, 1, 1))})
+
+    def test_missing_key_rejected(self):
+        model = OdometryModel(_tiny_cfg())
+        state = model.state_arrays()
+        state.pop(next(iter(state)))
+        with pytest.raises(KeyError):
+            model.load_state_arrays(state)
+
+    def test_merged_heads_shared_once(self):
+        cfg = _tiny_cfg(imu_mode="initial-pose", head_mode="merged")
+        pairs, _ = _pairs(cfg)
+        model = OdometryModel(cfg)
+        assert model.head_q is model.head_t
+        opt = Adam(model.parameters(), lr=1e-3)
+        stepped = [id(p) for p in opt.params.values()]
+        assert len(set(stepped)) == len(stepped)
+        assert {id(p) for p in model.head_q.parameters().values()} <= set(stepped)
+        assert not any(k.startswith("head_q.") for k in opt.params)
+        train_epoch(pairs, model, opt, cfg)
+        assert "normal_encoder.blocks.2.proj_norm.running_var" in model.buffers()
+        state = {k: v.copy() for k, v in model.state_arrays().items()}
+        clone = OdometryModel(cfg, rng=np.random.default_rng(99))
+        clone.load_state_arrays(state)
+        assert clone.state_arrays().keys() == state.keys()
+        for k, v in clone.state_arrays().items():
+            np.testing.assert_array_equal(v, state[k])
 
 
 def test_pixel_matching_mode_trains():

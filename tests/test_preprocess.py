@@ -128,6 +128,20 @@ class TestAdaptiveVoxel:
             counts.append(len(adaptive_voxel_downsample(pts, nrm, p)))
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("side", [0.7, 1e-12])
+    def test_voxels_follow_row_wise_key_order(self, side):
+        # 1e-12 m cells give keys too wide to pack into one int64 code, so
+        # this covers both the packed and the row-wise binning.
+        pts, nrm = self._uniform(6, 2000, 8.0)
+        pts[:, 2] *= 0.1
+        p = VoxelParams(side_length=side, target=10**9, tolerance=10**9,
+                        max_iterations=1)
+        cloud = adaptive_voxel_downsample(pts, nrm, p)
+        keys = np.floor(pts / side).astype(np.int64)
+        _, inverse = np.unique(keys, axis=0, return_inverse=True)
+        means = np.stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)], axis=1)
+        np.testing.assert_array_equal(cloud.points, means / np.bincount(inverse)[:, None])
+
 
 def test_preprocess_cloud_end_to_end():
     rng = np.random.default_rng(9)
