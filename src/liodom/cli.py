@@ -251,35 +251,12 @@ def cmd_export_traj(args) -> int:
 def cmd_gradcheck(args) -> int:
     """Finite-difference checks on every trainable block."""
     from .nn import (AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
-                     Linear, LSTM, MapEncoder)
+                     Linear, LSTM, MapEncoder, gradcheck)
 
     rng = np.random.default_rng(args.seed)
 
     def check(name, module, x, fwd=None, bwd=None):
-        fwd = fwd or (lambda m, x: m(x))
-        bwd = bwd or (lambda m, g: m.backward(g))
-        y = fwd(module, x)
-        g = rng.standard_normal(y.shape)
-        module.zero_grad()
-        bwd(module, g)
-        worst = 0.0
-        params = module.parameters()
-        names = list(params)[:3]
-        for pname in names:
-            p = params[pname]
-            flat = p.value.reshape(-1)
-            idx = rng.choice(flat.size, size=min(4, flat.size), replace=False)
-            for i in idx:
-                eps = 1e-6
-                old = flat[i]
-                flat[i] = old + eps
-                lp = float(np.sum(fwd(module, x) * g))
-                flat[i] = old - eps
-                lm = float(np.sum(fwd(module, x) * g))
-                flat[i] = old
-                fd = (lp - lm) / (2 * eps)
-                an = p.grad.reshape(-1)[i]
-                worst = max(worst, abs(fd - an) / max(1.0, abs(fd)))
+        worst = gradcheck(module, x, rng, fwd, bwd, n_checks=4, max_params=3)
         status = "ok" if worst < 1e-4 else "FAIL"
         print(f"{name:18s} max rel err {worst:.3e}  {status}")
         return worst < 1e-4

@@ -55,16 +55,20 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    data = data or {}
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
+def _check_sections(data: dict):
+    """Every section known and a mapping of known keys."""
+    if unknown := set(data) - set(_SECTIONS):
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for sec, vals in data.items():
         if not isinstance(vals, dict):
             raise ConfigError(f"section {sec} must be a mapping")
         if unknown := set(vals) - _SECTIONS[sec]:
             raise ConfigError(f"unknown {sec} keys: {sorted(unknown)}")
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    data = data or {}
+    _check_sections(data)
     pl = dict(data.get("pipeline", {}))
     try:
         weights = LossWeights(alpha=pl.pop("alpha", 1.0), lam=pl.pop("lam", 0.1))
@@ -97,11 +101,13 @@ def load_config(path=None, overrides: dict | None = None,
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         data = loaded
+    _check_sections(data)
     if preset is not None:
         if preset not in ABLATION_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; know {sorted(ABLATION_PRESETS)}")
         data = _merge(data, ABLATION_PRESETS[preset])
     if overrides:
+        _check_sections(overrides)
         data = _merge(data, overrides)
     return config_from_dict(data)
 

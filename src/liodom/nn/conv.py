@@ -33,6 +33,8 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int):
 
 
 class Conv2d(Module):
+    """2D cross-correlation: im2col, then one BLAS GEMM per contraction."""
+
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, stride: int = 1,
                  pad: int | None = None, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
@@ -48,7 +50,7 @@ class Conv2d(Module):
         x = np.asarray(x, dtype=float)
         cols, (Ho, Wo) = _im2col(x, self.kernel, self.stride, self.pad)
         w = self.weight.value.reshape(self.weight.value.shape[0], -1)
-        y = np.einsum("oc,bcl->bol", w, cols) + self.bias.value[None, :, None]
+        y = w @ cols + self.bias.value[:, None]
         self._cache = (x.shape, cols)
         return y.reshape(x.shape[0], -1, Ho, Wo)
 
@@ -57,9 +59,9 @@ class Conv2d(Module):
         B = grad_out.shape[0]
         go = grad_out.reshape(B, grad_out.shape[1], -1)
         w = self.weight.value.reshape(self.weight.value.shape[0], -1)
-        self.weight.grad += np.einsum("bol,bcl->oc", go, cols).reshape(self.weight.value.shape)
+        self.weight.grad += (go @ cols.transpose(0, 2, 1)).sum(0).reshape(self.weight.value.shape)
         self.bias.grad += go.sum(axis=(0, 2))
-        gcols = np.einsum("oc,bol->bcl", w, go)
+        gcols = w.T @ go
         return _col2im(gcols, x_shape, self.kernel, self.stride, self.pad)
 
 

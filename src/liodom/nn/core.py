@@ -2,7 +2,8 @@
 
 Modules own named parameters and buffers, cache what forward needs for
 backward, and accumulate parameter gradients on backward. Everything is
-plain numpy in double precision.
+plain numpy in double precision. `gradcheck` compares any module's backward
+with central differences.
 """
 
 from __future__ import annotations
@@ -99,3 +100,44 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None, bwd=None,
+              n_checks: int = 4, eps: float = 1e-6, max_params: int | None = None,
+              wrt_input: bool = False) -> float:
+    """Worst relative error of backward's gradients against central differences.
+
+    The checked scalar is sum(fwd(module, x) * g) for a random g. n_checks
+    random elements are perturbed in each of the first max_params parameters
+    (all by default) or, with wrt_input, in x, against the gradient bwd
+    returns. Elements whose one-sided difference quotients disagree are
+    skipped: they straddle a ReLU/abs kink, where a central difference is
+    meaningless.
+    """
+    fwd = fwd or (lambda m, a: m(a))
+    bwd = bwd or (lambda m, grad: m.backward(grad))
+    x = np.ascontiguousarray(x, dtype=float)     # perturbed in place below
+    g = rng.standard_normal(np.shape(fwd(module, x)))
+    module.zero_grad()
+    grad_x = bwd(module, g)
+    if wrt_input:
+        checked = [(x, grad_x)]
+    else:
+        checked = [(p.value, p.grad) for p in list(module.parameters().values())[:max_params]]
+    loss = lambda: float(np.sum(fwd(module, x) * g))
+    worst = 0.0
+    for value, grad in checked:
+        flat, gflat = value.reshape(-1), grad.reshape(-1)
+        for i in rng.choice(flat.size, size=min(n_checks, flat.size), replace=False):
+            old = flat[i]
+            l0 = loss()
+            flat[i] = old + eps
+            lp = loss()
+            flat[i] = old - eps
+            lm = loss()
+            flat[i] = old
+            fd = (lp - lm) / (2 * eps)
+            if abs((lp - l0) / eps - (l0 - lm) / eps) / max(1.0, abs(fd)) > 1e-3:
+                continue
+            worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd)))
+    return worst

@@ -261,6 +261,8 @@ def pixel_correspondences(fp: FramePair, pose: Pose, cfg: ProjectionConfig):
     identical pixels. Returns (source pseudo-cloud, CorrespondenceSet).
     """
     src_mask = fp.v_cur.valid & fp.n_cur.valid
+    if not src_mask.any():
+        raise EmptyMatchError("pixel matching found no current pixel with a valid normal")
     source = PreprocessedCloud(fp.v_cur.grid[src_mask], fp.n_cur.grid[src_mask])
     moved = transformed_cloud(source, pose)
     vmap, winner = project_with_indices(moved.points, cfg)

@@ -18,7 +18,8 @@ from liodom.matching import (CorrespondenceSet, KdIndex, LossWeights,
                              match_nearest, plane_to_plane_loss,
                              point_to_plane_loss, total_loss)
 from liodom.nn import (Adam, AttentionHead, FcActivationHead, LSTM, Linear,
-                       ResBlock, StepLR, load_checkpoint, save_checkpoint)
+                       ResBlock, StepLR, gradcheck, load_checkpoint,
+                       save_checkpoint)
 from liodom.pipeline import (OdometryModel, PipelineConfig, TrainParams,
                              build_frame_pairs, estimate_pair, train_epoch)
 from liodom.preprocess import (PreprocessedCloud, VoxelParams,
@@ -59,38 +60,6 @@ def _pose_error(est: Pose, true: Pose):
 
 # -- criterion 1: gradient suite ---------------------------------------------
 
-def _module_gradcheck(module, x, fwd, bwd, rng, n_checks=4, eps=1e-6):
-    """Worst relative error of analytic vs central-difference gradients.
-
-    One-sided quotients that disagree flag a kink (ReLU/abs at exactly
-    zero); those elements carry a subgradient and are excluded.
-    """
-    y = fwd(module, x)
-    g = rng.standard_normal(y.shape)
-    for p in module.parameters().values():
-        p.grad[...] = 0.0
-    bwd(module, g)
-    loss = lambda: float(np.sum(fwd(module, x) * g))
-    worst = 0.0
-    for p in module.parameters().values():
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for i in rng.choice(flat.size, size=min(n_checks, flat.size),
-                            replace=False):
-            old = flat[i]
-            l0 = loss()
-            flat[i] = old + eps
-            lp = loss()
-            flat[i] = old - eps
-            lm = loss()
-            flat[i] = old
-            fd = (lp - lm) / (2 * eps)
-            if abs((lp - l0) / eps - (l0 - lm) / eps) / max(1.0, abs(fd)) > 1e-3:
-                continue
-            worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd)))
-    return worst
-
-
 def _loss_gradcheck(rng):
     pts = rng.uniform(-4, 4, (40, 3))
     nrm = rng.standard_normal((40, 3))
@@ -116,21 +85,15 @@ def test_criterion_1_gradient_suite(capfd):
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        worst = max(worst, _module_gradcheck(
-            Linear(6, 4, rng), rng.standard_normal((3, 6)),
-            lambda m, a: m(a), lambda m, g: m.backward(g), rng))
-        worst = max(worst, _module_gradcheck(
-            LSTM(3, 4, rng), rng.standard_normal((2, 5, 3)),
-            lambda m, a: m(a)[0], lambda m, g: m.backward(grad_hs=g), rng))
-        worst = max(worst, _module_gradcheck(
-            ResBlock(3, 5, stride=2, rng=rng), rng.standard_normal((1, 3, 8, 8)),
-            lambda m, a: m(a), lambda m, g: m.backward(g), rng, n_checks=3))
-        worst = max(worst, _module_gradcheck(
-            AttentionHead(5, rng), rng.standard_normal((2, 5)),
-            lambda m, a: m(a), lambda m, g: m.backward(g), rng))
-        worst = max(worst, _module_gradcheck(
-            FcActivationHead(5, rng), rng.standard_normal((2, 5)),
-            lambda m, a: m(a), lambda m, g: m.backward(g), rng))
+        worst = max(worst, gradcheck(Linear(6, 4, rng), rng.standard_normal((3, 6)), rng))
+        worst = max(worst, gradcheck(
+            LSTM(3, 4, rng), rng.standard_normal((2, 5, 3)), rng,
+            lambda m, a: m(a)[0], lambda m, g: m.backward(grad_hs=g)))
+        worst = max(worst, gradcheck(
+            ResBlock(3, 5, stride=2, rng=rng), rng.standard_normal((1, 3, 8, 8)), rng,
+            n_checks=3))
+        worst = max(worst, gradcheck(AttentionHead(5, rng), rng.standard_normal((2, 5)), rng))
+        worst = max(worst, gradcheck(FcActivationHead(5, rng), rng.standard_normal((2, 5)), rng))
         worst = max(worst, _loss_gradcheck(rng))
     elapsed = time.time() - t0
     ok = worst < 1e-4 and elapsed < 60.0

@@ -49,6 +49,14 @@ class TestConfigLoading:
                           overrides={"pipeline": {"imu_mode": "feature-concat"}})
         assert cfg.imu_mode == "feature-concat"
 
+    @pytest.mark.parametrize("layers", [{"preset": "no-imu"},
+                                        {"overrides": {"train": {"epochs": 2}}}])
+    def test_non_mapping_section_under_preset_or_flags(self, tmp_path, layers):
+        p = tmp_path / "c.yaml"
+        p.write_text("pipeline: 3\n")
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            load_config(p, **layers)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             load_config(preset="bogus")
@@ -184,6 +192,13 @@ class TestExitCodes:
     def test_usage_error_on_bad_config(self, tmp_path):
         assert main(["preprocess", "--input", "x", "--output", "y",
                      "--set", "bogus.key=1"]) == 1
+
+    def test_usage_error_on_non_mapping_section_with_preset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("pipeline: 3\n")
+        assert main(["preprocess", "--input", "x", "--output", "y",
+                     "--config", str(bad), "--preset", "no-imu"]) == 1
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_usage_error_on_invalid_value(self, capsys):
         assert main(["preprocess", "--input", "x", "--output", "y",

@@ -5,72 +5,8 @@ import pytest
 
 from liodom.nn import (Adam, AttentionHead, ChannelNorm, Conv2d,
                        FcActivationHead, Linear, LSTM, MapEncoder, Param,
-                       ResBlock, StepLR, load_checkpoint, save_checkpoint)
-
-
-def _fd(fn, flat, i, eps):
-    """(central, one-sided plus, one-sided minus) difference quotients."""
-    old = flat[i]
-    l0 = fn()
-    flat[i] = old + eps
-    lp = fn()
-    flat[i] = old - eps
-    lm = fn()
-    flat[i] = old
-    return (lp - lm) / (2 * eps), (lp - l0) / eps, (l0 - lm) / eps
-
-
-def gradcheck(module, x, fwd=None, bwd=None, rng=None, n_checks=5, eps=1e-6):
-    """Central finite differences against accumulated parameter grads.
-
-    Elements whose one-sided difference quotients disagree are skipped:
-    those straddle a ReLU/abs kink (residual blocks can place activations
-    at exactly zero) where a central difference is meaningless.
-    """
-    rng = rng or np.random.default_rng(0)
-    fwd = fwd or (lambda m, a: m(a))
-    bwd = bwd or (lambda m, g: m.backward(g))
-    y = fwd(module, x)
-    g = rng.standard_normal(y.shape)
-    for p in module.parameters().values():
-        p.grad[...] = 0.0
-    bwd(module, g)
-    worst = 0.0
-    for p in module.parameters().values():
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        loss = lambda: float(np.sum(fwd(module, x) * g))
-        for i in rng.choice(flat.size, size=min(n_checks, flat.size),
-                            replace=False):
-            fd, fp, fm = _fd(loss, flat, i, eps)
-            if abs(fp - fm) / max(1.0, abs(fd)) > 1e-3:
-                continue
-            worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd)))
-    return worst
-
-
-def input_gradcheck(module, x, fwd=None, bwd=None, rng=None, n_checks=8,
-                    eps=1e-6):
-    rng = rng or np.random.default_rng(1)
-    fwd = fwd or (lambda m, a: m(a))
-    bwd = bwd or (lambda m, g: m.backward(g))
-    y = fwd(module, x)
-    g = rng.standard_normal(y.shape)
-    for p in module.parameters().values():
-        p.grad[...] = 0.0
-    gx = bwd(module, g)
-    worst = 0.0
-    flat = x.reshape(-1)
-    for i in rng.choice(flat.size, size=min(n_checks, flat.size), replace=False):
-        old = flat[i]
-        flat[i] = old + eps
-        lp = float(np.sum(fwd(module, x) * g))
-        flat[i] = old - eps
-        lm = float(np.sum(fwd(module, x) * g))
-        flat[i] = old
-        fd = (lp - lm) / (2 * eps)
-        worst = max(worst, abs(fd - gx.reshape(-1)[i]) / max(1.0, abs(fd)))
-    return worst
+                       ResBlock, StepLR, gradcheck, load_checkpoint,
+                       save_checkpoint)
 
 
 SEEDS = range(10)
@@ -81,8 +17,8 @@ def test_linear_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = Linear(6, 4, rng)
     x = rng.standard_normal((3, 6))
-    assert gradcheck(m, x, rng=rng) < 1e-4
-    assert input_gradcheck(m, x, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -90,8 +26,8 @@ def test_attention_head_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = AttentionHead(5, rng)
     x = rng.standard_normal((2, 5))
-    assert gradcheck(m, x, rng=rng) < 1e-4
-    assert input_gradcheck(m, x, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -99,7 +35,7 @@ def test_fc_head_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = FcActivationHead(5, rng)
     x = rng.standard_normal((2, 5))
-    assert gradcheck(m, x, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -109,8 +45,8 @@ def test_lstm_gradcheck(seed):
     x = rng.standard_normal((2, 5, 3))
     f = lambda mod, a: mod(a)[0]
     b = lambda mod, g: mod.backward(grad_hs=g)
-    assert gradcheck(m, x, fwd=f, bwd=b, rng=rng) < 1e-4
-    assert input_gradcheck(m, x, fwd=f, bwd=b, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=8, wrt_input=True) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -120,7 +56,7 @@ def test_lstm_final_hidden_gradcheck(seed):
     x = rng.standard_normal((1, 6, 3))
     f = lambda mod, a: mod(a)[1]
     b = lambda mod, g: mod.backward(grad_h_final=g)
-    assert gradcheck(m, x, fwd=f, bwd=b, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=5) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -128,8 +64,37 @@ def test_conv2d_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = Conv2d(2, 3, stride=2 if seed % 2 else 1, rng=rng)
     x = rng.standard_normal((2, 2, 6, 8))
-    assert gradcheck(m, x, rng=rng) < 1e-4
-    assert input_gradcheck(m, x, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
+
+
+def _direct_conv(x, w, b, stride, pad):
+    """Cross-correlation by explicit loops over output pixels: the oracle."""
+    B, _, H, W = x.shape
+    O, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
+    y = np.empty((B, O, Ho, Wo))
+    for n in range(B):
+        for o in range(O):
+            for i in range(Ho):
+                for j in range(Wo):
+                    patch = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                    y[n, o, i, j] = np.sum(patch * w[o]) + b[o]
+    return y
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_matches_direct_convolution(k, stride, pad):
+    rng = np.random.default_rng(10 * k + 3 * stride + pad)
+    m = Conv2d(2, 3, k, stride=stride, pad=pad, rng=rng)
+    m.bias.value[:] = rng.standard_normal(3)
+    x = rng.standard_normal((2, 2, 5, 7))
+    want = _direct_conv(x, m.weight.value, m.bias.value, stride, pad)
+    np.testing.assert_allclose(m(x), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -137,7 +102,7 @@ def test_resblock_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = ResBlock(3, 5, stride=2, rng=rng)
     x = rng.standard_normal((1, 3, 8, 8))
-    assert gradcheck(m, x, rng=rng, n_checks=3) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=3) < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -146,7 +111,7 @@ def test_encoder_gradcheck(seed):
     m = MapEncoder((3, 4, 5), 7, rng=rng)
     m.set_training(False)
     x = rng.standard_normal((1, 6, 8, 16))
-    assert gradcheck(m, x, rng=rng, n_checks=2, eps=1e-5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=2, eps=1e-5) < 1e-4
 
 
 def test_channelnorm_gradcheck():
@@ -155,8 +120,8 @@ def test_channelnorm_gradcheck():
     m.running_mean[:] = rng.standard_normal(3)
     m.running_var[:] = rng.uniform(0.5, 2.0, 3)
     x = rng.standard_normal((2, 3, 4, 4))
-    assert gradcheck(m, x, rng=rng) < 1e-4
-    assert input_gradcheck(m, x, rng=rng) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
 
 
 def test_channelnorm_updates_running_stats_in_training():

@@ -13,7 +13,7 @@ from liodom.pipeline import (OdometryModel, PipelineConfig,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
 from liodom.preprocess import VoxelParams
-from liodom.range_image import ProjectionConfig
+from liodom.range_image import ProjectionConfig, compute_normal_map, project
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
 from liodom.synth import sample_scene, scan_from_pose, synthesize_imu
 
@@ -282,6 +282,19 @@ def test_pixel_matching_mode_trains():
     model = OdometryModel(cfg)
     loss, _, _ = train_step(pairs[0], model, cfg)
     assert np.isfinite(loss) and loss > 0
+
+
+def test_pixel_matching_skips_pair_without_valid_normals():
+    # A lone point has no valid neighbour, so its normal map is empty.
+    cfg = _tiny_cfg(imu_mode="none", matching="pixel")
+    pairs, _ = _pairs(cfg)
+    lone = project(np.array([[5.0, 0.0, 0.0]]), cfg.projection)
+    bad = dataclasses.replace(pairs[0], v_cur=lone, n_cur=compute_normal_map(lone))
+    model = OdometryModel(cfg)
+    opt = Adam(model.parameters(), lr=1e-4)
+    stats = train_epoch([bad, pairs[1]], model, opt, cfg)
+    assert stats.pairs_skipped == 1
+    assert stats.pairs_used == 1
 
 
 def test_build_frame_pairs_counts():
