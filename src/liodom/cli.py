@@ -219,7 +219,7 @@ def cmd_infer(args) -> int:
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     failed = flags.count("registration-failed")
     if failed:
-        print(f"warning: {failed} pair(s) fell back to identity", file=sys.stderr)
+        print(f"warning: {failed} pair(s) fell back to the initial pose", file=sys.stderr)
     write_poses(args.output, absolute)
     dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
     print(f"wrote {len(absolute)} poses to {args.output}")
@@ -256,7 +256,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     def check(name, module, x, fwd=None, bwd=None):
-        worst = gradcheck(module, x, rng, fwd, bwd, n_checks=4, max_params=3)
+        worst = gradcheck(module, x, rng, fwd, bwd, n_checks=4)
         status = "ok" if worst < 1e-4 else "FAIL"
         print(f"{name:18s} max rel err {worst:.3e}  {status}")
         return worst < 1e-4

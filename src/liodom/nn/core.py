@@ -103,16 +103,14 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None, bwd=None,
-              n_checks: int = 4, eps: float = 1e-6, max_params: int | None = None,
-              wrt_input: bool = False) -> float:
+              n_checks: int = 4, eps: float = 1e-6, wrt_input: bool = False) -> float:
     """Worst relative error of backward's gradients against central differences.
 
     The checked scalar is sum(fwd(module, x) * g) for a random g. n_checks
-    random elements are perturbed in each of the first max_params parameters
-    (all by default) or, with wrt_input, in x, against the gradient bwd
-    returns. Elements whose one-sided difference quotients disagree are
-    skipped: they straddle a ReLU/abs kink, where a central difference is
-    meaningless.
+    random elements are perturbed in each parameter or, with wrt_input, in
+    x, against the gradient bwd returns. Elements whose one-sided difference
+    quotients disagree are skipped: they straddle a ReLU/abs kink, where a
+    central difference is meaningless.
     """
     fwd = fwd or (lambda m, a: m(a))
     bwd = bwd or (lambda m, grad: m.backward(grad))
@@ -123,7 +121,7 @@ def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None,
     if wrt_input:
         checked = [(x, grad_x)]
     else:
-        checked = [(p.value, p.grad) for p in list(module.parameters().values())[:max_params]]
+        checked = [(p.value, p.grad) for p in module.parameters().values()]
     loss = lambda: float(np.sum(fwd(module, x) * g))
     worst = 0.0
     for value, grad in checked:

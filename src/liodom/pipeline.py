@@ -108,6 +108,11 @@ def _make_head(head_type: str, dim: int, rng):
 class OdometryModel(Module):
     """Siamese IMU LSTMs, map-pair encoders, and residual-pose heads.
 
+    The ablations are one table of feature blocks: `feature_blocks` sizes
+    each block the model produces (`v`; `n` unless vertex-only; `imu`, the
+    LSTM states, in feature-concat mode) and `head_inputs` lists the blocks
+    each head reads. The forward concatenates and the backward splits by it.
+
     Output FC layers are zero-initialized so the untrained network emits
     the identity pose. In merged and vertex-only head modes head_q is
     head_t, so its parameters are named and stepped once, as head_t.
@@ -123,96 +128,79 @@ class OdometryModel(Module):
         self.fc_t_init = Linear(cfg.lstm_hidden, 3, zero_init=True)
         self.vertex_encoder = MapEncoder(cfg.encoder_widths, F, rng=rng)
         self.normal_encoder = None
+        self.feature_blocks = {"v": F}
         if cfg.head_mode != "vertex-only":
             self.normal_encoder = MapEncoder(cfg.encoder_widths, F, rng=rng)
-        imu_extra = 2 * cfg.lstm_hidden if cfg.imu_mode == "feature-concat" else 0
+            self.feature_blocks["n"] = F
+        if cfg.imu_mode == "feature-concat":
+            self.feature_blocks["imu"] = 2 * cfg.lstm_hidden
+        t_reads = ("v", "imu") if cfg.head_mode == "two-branch" else ("v", "n", "imu")
+        self.head_inputs = {head: tuple(b for b in reads if b in self.feature_blocks)
+                            for head, reads in (("t", t_reads), ("q", ("v", "n", "imu")))}
+        self.t_dim, self.q_dim = (sum(self.feature_blocks[b] for b in self.head_inputs[h])
+                                  for h in ("t", "q"))
+        self.head_t = _make_head(cfg.head_type, self.t_dim, rng)
+        self.head_q = self.head_t
         if cfg.head_mode == "two-branch":
-            self.t_dim = F + imu_extra
-            self.q_dim = 2 * F + imu_extra
-            self.head_t = _make_head(cfg.head_type, self.t_dim, rng)
             self.head_q = _make_head(cfg.head_type, self.q_dim, rng)
-        else:
-            shared = (2 * F if cfg.head_mode == "merged" else F) + imu_extra
-            self.t_dim = self.q_dim = shared
-            self.head_t = self.head_q = _make_head(cfg.head_type, shared, rng)
         self.out_t = Linear(self.t_dim, 3, zero_init=True)
         self.out_q = Linear(self.q_dim, 3, zero_init=True)
 
     # -- forward / backward -------------------------------------------------
 
-    def imu_hidden(self, window: np.ndarray):
-        """Final hidden states (1, H) of the angular-velocity and linear-acceleration LSTMs."""
+    def initial_pose(self, window: np.ndarray | None):
+        """(initial Pose, `imu` block or None): in initial-pose mode the gyro
+        hidden state gives q and the accelerometer's gives t."""
+        mode = self.cfg.imu_mode
+        if mode == "none":
+            return Pose.identity(), None
+        if window is None:
+            raise ValueError(f"imu_mode={mode} requires an IMU window")
         window = np.asarray(window, dtype=float)
         _, h_g = self.lstm_gyro(window[None, :, 3:6])
         _, h_a = self.lstm_acc(window[None, :, 0:3])
-        return h_g, h_a
-
-    def imu_initial_pose(self, h_g: np.ndarray, h_a: np.ndarray) -> Pose:
-        """Gyro hidden state -> q, accelerometer hidden state -> t."""
-        return Pose(q=self.fc_q_init(h_g)[0], t=self.fc_t_init(h_a)[0])
+        if mode == "feature-concat":
+            return Pose.identity(), np.concatenate([h_g[0], h_a[0]])
+        return Pose(q=self.fc_q_init(h_g)[0], t=self.fc_t_init(h_a)[0]), None
 
     def residual_pose(self, v_pair: np.ndarray, n_pair: np.ndarray | None,
                       imu_feats: np.ndarray | None) -> Pose:
         """Residual pose from stacked map pairs (6, H, W) and optional IMU features."""
-        cfg = self.cfg
-        fv = self.vertex_encoder(v_pair[None])[0]
-        fn = None
+        blocks = {"v": self.vertex_encoder(v_pair[None])[0], "imu": imu_feats}
         if self.normal_encoder is not None:
             if n_pair is None:
                 raise ValueError("head mode requires a normal-map pair")
-            fn = self.normal_encoder(n_pair[None])[0]
-        extra = [imu_feats] if imu_feats is not None else []
-        if cfg.head_mode == "two-branch":
-            x_t = np.concatenate([fv] + extra)
-            x_q = np.concatenate([fv, fn] + extra)
-            h_t = self.head_t(x_t[None])
-            h_q = self.head_q(x_q[None])
-        elif cfg.head_mode == "merged":
-            x = np.concatenate([fv, fn] + extra)
-            h_t = h_q = self.head_t(x[None])
-        else:
-            x = np.concatenate([fv] + extra)
-            h_t = h_q = self.head_t(x[None])
-        dt = self.out_t(h_t)[0]
-        dq = cfg.q_scale * self.out_q(h_q)[0]
-        self._res_cache = (fv.shape[0], None if fn is None else fn.shape[0],
-                           0 if imu_feats is None else imu_feats.shape[0])
-        return Pose(q=dq, t=dt)
+            blocks["n"] = self.normal_encoder(n_pair[None])[0]
+        x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]])[None]
+                    for h in ("t", "q"))
+        h_t = self.head_t(x_t)
+        h_q = h_t if self.head_q is self.head_t else self.head_q(x_q)
+        return Pose(q=self.cfg.q_scale * self.out_q(h_q)[0], t=self.out_t(h_t)[0])
 
-    def residual_backward(self, grad_q: np.ndarray, grad_t: np.ndarray):
-        """Backprop residual-pose gradients; returns grad on IMU features."""
-        cfg = self.cfg
-        nv, nn_dim, nimu = self._res_cache
-        gh_q = self.out_q.backward(np.atleast_2d(cfg.q_scale * grad_q))
-        gh_t = self.out_t.backward(np.atleast_2d(grad_t))
-        if cfg.head_mode == "two-branch":
-            gx_t = self.head_t.backward(gh_t)[0]
-            gx_q = self.head_q.backward(gh_q)[0]
-            g_fv = gx_t[:nv] + gx_q[:nv]
-            g_fn = gx_q[nv:nv + nn_dim]
-            g_imu = gx_t[nv:] + gx_q[nv + nn_dim:] if nimu else None
+    def backward(self, grad_delta: np.ndarray, grad_hat: np.ndarray):
+        """Backprop the loss gradients on the residual and initial pose vectors."""
+        gh_q = self.out_q.backward(np.atleast_2d(self.cfg.q_scale * grad_delta[:3]))
+        gh_t = self.out_t.backward(np.atleast_2d(grad_delta[3:]))
+        if self.head_q is self.head_t:     # one backward on the summed output gradients
+            head_grads = {"t": self.head_t.backward(gh_t + gh_q)[0]}
         else:
-            gx = self.head_t.backward(gh_t + gh_q)[0]
-            g_fv = gx[:nv]
-            g_fn = gx[nv:nv + nn_dim] if nn_dim else None
-            g_imu = gx[-nimu:] if nimu else None
-        self.vertex_encoder.backward(g_fv[None])
-        if self.normal_encoder is not None and g_fn is not None:
-            self.normal_encoder.backward(g_fn[None])
-        return g_imu
-
-    def imu_backward(self, grad_q_hat=None, grad_t_hat=None, grad_features=None):
-        """Backprop into the siamese LSTM branch (whichever path was used)."""
-        H = self.cfg.lstm_hidden
-        gh_g = np.zeros((1, H))
-        gh_a = np.zeros((1, H))
-        if grad_q_hat is not None:
-            gh_g += self.fc_q_init.backward(np.atleast_2d(grad_q_hat))
-        if grad_t_hat is not None:
-            gh_a += self.fc_t_init.backward(np.atleast_2d(grad_t_hat))
-        if grad_features is not None:
-            gh_g += grad_features[None, :H]
-            gh_a += grad_features[None, H:]
+            head_grads = {"t": self.head_t.backward(gh_t)[0], "q": self.head_q.backward(gh_q)[0]}
+        grads = {}
+        for head, gx in head_grads.items():
+            reads = self.head_inputs[head]
+            parts = np.split(gx, np.cumsum([self.feature_blocks[b] for b in reads])[:-1])
+            for b, part in zip(reads, parts):
+                grads[b] = grads[b] + part if b in grads else part
+        self.vertex_encoder.backward(grads["v"][None])
+        if self.normal_encoder is not None:
+            self.normal_encoder.backward(grads["n"][None])
+        if self.cfg.imu_mode == "initial-pose":
+            gh_g = self.fc_q_init.backward(np.atleast_2d(grad_hat[:3]))
+            gh_a = self.fc_t_init.backward(np.atleast_2d(grad_hat[3:]))
+        elif self.cfg.imu_mode == "feature-concat":
+            gh_g, gh_a = np.split(grads["imu"][None], 2, axis=1)
+        else:
+            return
         self.lstm_gyro.backward(grad_h_final=gh_g)
         self.lstm_acc.backward(grad_h_final=gh_a)
 
@@ -227,19 +215,11 @@ class PairDiagnostics:
 
 def estimate_pair(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     """Forward pass for one pair: returns (Pose, PairDiagnostics)."""
-    t_hat = Pose.identity()
-    imu_feats = None
+    t_hat, imu_feats = model.initial_pose(fp.imu)
     # feature-concat and none skip the remap step entirely
     v_cur, n_cur = fp.v_cur, fp.n_cur
-    if cfg.imu_mode != "none":
-        if fp.imu is None:
-            raise ValueError(f"imu_mode={cfg.imu_mode} requires an IMU window")
-        h_g, h_a = model.imu_hidden(fp.imu)
-        if cfg.imu_mode == "initial-pose":
-            t_hat = model.imu_initial_pose(h_g, h_a)
-            v_cur, n_cur = remap(fp.v_cur, fp.n_cur, t_hat, cfg.projection)
-        else:
-            imu_feats = np.concatenate([h_g[0], h_a[0]])
+    if cfg.imu_mode == "initial-pose":
+        v_cur, n_cur = remap(fp.v_cur, fp.n_cur, t_hat, cfg.projection)
     v_pair = np.concatenate([_map_tensor(fp.v_last), _map_tensor(v_cur)])
     n_pair = None
     if model.normal_encoder is not None:
@@ -332,11 +312,7 @@ def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     p_delta = diag.residual.as_vector()
     p_hat = diag.initial.as_vector()
     grad_delta, grad_hat = composed_pose_gradients(p_delta, p_hat, source, corr, cfg.weights)
-    g_imu = model.residual_backward(grad_delta[:3], grad_delta[3:])
-    if cfg.imu_mode == "initial-pose":
-        model.imu_backward(grad_q_hat=grad_hat[:3], grad_t_hat=grad_hat[3:])
-    elif cfg.imu_mode == "feature-concat" and g_imu is not None:
-        model.imu_backward(grad_features=g_imu)
+    model.backward(grad_delta, grad_hat)
     terms = (point_to_plane_loss(corr), plane_to_plane_loss(corr))
     return loss, terms, diag
 
@@ -421,8 +397,9 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     """Chain per-pair estimates into absolute poses (first pose identity).
 
     Modes: learned (network only), classical (registration from identity),
-    hybrid (registration warm-started from the learned pose). Registration
-    failures substitute the identity relative pose and are flagged.
+    hybrid (registration warm-started from the learned pose). A pair whose
+    registration fails keeps its initial pose (identity in classical mode,
+    the learned pose in hybrid) and is flagged.
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -443,8 +420,8 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
             pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init, opts=opts)
             relatives.append(pose)
             flags.append("ok")
-        except RegistrationError:
-            relatives.append(Pose.identity())
+        except RegistrationError as exc:
+            relatives.append(exc.pose)
             flags.append("registration-failed")
     from .evaluation import accumulate
 

@@ -27,19 +27,15 @@ from .matching import (
 from .preprocess import PreprocessedCloud
 
 
+MAX_OUTER = 10       # re-matching iterations
+MAX_INNER = 5        # Gauss-Newton steps per matching
+TOLERANCE = 1e-6     # step norm that ends the inner loop
+
+
 @dataclass(frozen=True)
 class RegistrationOptions:
-    max_outer: int = 10
-    max_inner: int = 5
-    tolerance: float = 1e-6
     max_match_dist: float = 1.0
     weights: LossWeights = field(default_factory=LossWeights)
-
-    def __post_init__(self):
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration bounds must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -76,7 +72,7 @@ def register(
                     np.vstack([sqrt_alpha * J1, sqrt_lam * J2]))
         return sqrt_alpha * r1, sqrt_alpha * J1
 
-    for outer in range(opts.max_outer):
+    for outer in range(MAX_OUTER):
         diag.outer_iterations = outer + 1
         try:
             corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
@@ -87,7 +83,7 @@ def register(
             break
         diag.match_counts.append(len(corr))
         moved_outer = False
-        for _ in range(opts.max_inner):
+        for _ in range(MAX_INNER):
             r, J = weighted(p)
             A = J.T @ J + 1e-9 * np.eye(6)
             delta = np.linalg.solve(A, -(J.T @ r))
@@ -103,7 +99,7 @@ def register(
                 break
             p = p + step * delta
             moved_outer = True
-            if np.linalg.norm(step * delta) < opts.tolerance:
+            if np.linalg.norm(step * delta) < TOLERANCE:
                 break
         diag.loss_trace.append(loss_at_pose(p, source, corr, opts.weights))
         if not moved_outer:

@@ -4,16 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from liodom import pipeline
 from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
 from liodom.matching import transformed_cloud
-from liodom.nn import Adam, StepLR
-from liodom.pipeline import (OdometryModel, PipelineConfig,
+from liodom.nn import Adam, StepLR, gradcheck
+from liodom.pipeline import (HEAD_MODES, IMU_MODES, OdometryModel, PipelineConfig,
                              TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
 from liodom.preprocess import VoxelParams
-from liodom.range_image import ProjectionConfig, compute_normal_map, project
+from liodom.range_image import ProjectionConfig, compute_normal_map, project, remap
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
 from liodom.synth import sample_scene, scan_from_pose, synthesize_imu
 
@@ -121,6 +122,43 @@ def test_feature_concat_widens_heads():
     assert wide.t_dim == base.t_dim + 2 * TINY.lstm_hidden
 
 
+@pytest.fixture(scope="module")
+def tiny_pair():
+    pairs, _ = _pairs(TINY)
+    return pairs[0]
+
+
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("imu_mode", IMU_MODES)
+def test_model_backward_matches_finite_differences(tiny_pair, imu_mode, head_mode,
+                                                   monkeypatch):
+    # lstm_hidden=5 makes the imu block (10) narrower than v and n (16 each),
+    # so gradients split at the wrong offsets cannot pass unseen.
+    cfg = _tiny_cfg(imu_mode=imu_mode, head_mode=head_mode, lstm_hidden=5)
+    model = OdometryModel(cfg)
+    rng = np.random.default_rng(0)
+    # Randomise every zero-initialised array (output layers, biases, norm
+    # shifts): zero output layers pass no gradient, and zero biases put the
+    # ReLUs over the maps' zero-filled invalid pixels exactly at their kink.
+    for p in model.parameters().values():
+        if not p.value.any():
+            p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    model.set_training(False)
+    # remap is not differentiated by design: hold the remapped maps fixed
+    t_hat, _ = model.initial_pose(tiny_pair.imu)
+    fixed = remap(tiny_pair.v_cur, tiny_pair.n_cur, t_hat, cfg.projection)
+    monkeypatch.setattr(pipeline, "remap", lambda *args: fixed)
+
+    def fwd(m, window):
+        _, diag = estimate_pair(dataclasses.replace(tiny_pair, imu=window), m, cfg)
+        return np.concatenate([diag.residual.as_vector(), diag.initial.as_vector()])
+
+    def bwd(m, g):
+        m.backward(g[:6], g[6:])
+
+    assert gradcheck(model, tiny_pair.imu, rng, fwd, bwd, n_checks=1) < 1e-4
+
+
 class TestComposedGradients:
     def _loss(self, p_delta, p_hat, source, corr, w):
         moved = transformed_cloud(transformed_cloud(source, Pose.from_vector(p_hat)),
@@ -214,6 +252,19 @@ class TestRunSequence:
         cfg = _tiny_cfg()
         with pytest.raises(ValueError):
             run_sequence([], "bogus", cfg)
+
+    def test_hybrid_failure_keeps_learned_pose(self):
+        cfg = _tiny_cfg(imu_mode="none")
+        pairs, _ = _pairs(cfg)
+        moved = transformed_cloud(pairs[0].cur_cloud, Pose(t=np.array([100.0, 0.0, 0.0])))
+        far = dataclasses.replace(pairs[0], cur_cloud=moved)    # nothing in match range
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = [0.1, -0.05, 0.02]
+        learned, _ = estimate_pair(far, model, cfg)
+        _, relatives, flags = run_sequence([far], "hybrid", cfg, model=model)
+        assert flags == ["registration-failed"]
+        np.testing.assert_array_equal(relatives[0].matrix, learned.matrix)
+        assert np.abs(learned.t).max() > 0
 
     def test_learned_zero_init_gives_identity_trajectory(self):
         cfg = _tiny_cfg(imu_mode="none")
