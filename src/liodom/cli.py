@@ -114,9 +114,6 @@ def cmd_register(args) -> int:
     target = _load_cloud(args.target, cfg)
     opts = RegistrationOptions(max_match_dist=cfg.max_match_dist, weights=cfg.weights)
     pose, diag = register(source, target, opts=opts)
-    if not np.all(np.isfinite(pose.as_vector())):
-        print("registration produced a non-finite pose", file=sys.stderr)
-        return EXIT_NUMERICAL
     print("pose (roll pitch yaw tx ty tz):",
           " ".join(f"{v:.9f}" for v in pose.as_vector()))
     print(f"final loss {diag.loss_trace[-1]:.6f} after "
@@ -216,6 +213,11 @@ def cmd_infer(args) -> int:
             raise ConfigError(f"{args.checkpoint} does not fit the resolved config: "
                               f"{exc}") from exc
     pairs = _load_sequence(Path(args.data), cfg)
+    clouds = [fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs]
+    missed = sum(not cloud.met_target for cloud in clouds)
+    if missed:
+        print(f"warning: {missed} of {len(clouds)} clouds missed the voxel target",
+              file=sys.stderr)
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     failed = flags.count("registration-failed")
     if failed:

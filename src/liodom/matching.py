@@ -5,10 +5,11 @@ verified against linear scan in the tests). The point-to-plane loss sums
 absolute projections of match residuals onto target normals; the
 plane-to-plane loss sums squared differences of matched unit normals.
 
-`residuals` is the one kernel for both terms as functions of the pose:
-their unweighted residuals and pose Jacobians with the correspondences
-frozen. The loss, its gradient, Gauss-Newton registration and the
-composed-pose gradient of training are all built on it.
+`residual_values` is the one formula for both terms as functions of the
+pose, with the correspondences frozen; `residuals` adds their pose
+Jacobians. The loss, its gradient, Gauss-Newton registration with its
+line search, and the composed-pose gradient of training are all built on
+these two.
 """
 
 from __future__ import annotations
@@ -119,25 +120,36 @@ def transformed_cloud(cloud: PreprocessedCloud, pose: Pose) -> PreprocessedCloud
     return PreprocessedCloud(points=cloud.points @ R.T + pose.t, normals=cloud.normals @ R.T)
 
 
-def residuals(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
-    """Unweighted residuals and pose Jacobians of both loss terms, matches frozen.
+def residual_values(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
+    """Unweighted residuals of both loss terms at pose p, matches frozen.
 
     The matched source points s and normals n_s are taken from `source` at
-    `corr.src_index` and moved by the pose 6-vector p. Returns (r1, J1, r2, J2):
+    `corr.src_index` and moved by the pose 6-vector p. Returns (r1, r2):
     r1 = n_t . (R s + t - t_p), shape (M,), and r2 = (R n_s - n_t).ravel(),
-    shape (3M,), with their Jacobians J1 (M, 6) and J2 (3M, 6). The
-    translation columns of J2 are zero: normals do not move with t.
+    shape (3M,).
     """
     if (corr.src_index < 0).any():
         raise ValueError("correspondence set lacks source indices")
-    p = np.asarray(p, dtype=float).reshape(6)
-    pose = Pose.from_vector(p)
+    pose = Pose.from_vector(np.asarray(p, dtype=float).reshape(6))
     R = pose.rotation
+    nt = corr.tgt_normals
+    r1 = np.einsum("mi,mi->m", nt, source.points[corr.src_index] @ R.T + pose.t - corr.tgt_points)
+    r2 = (source.normals[corr.src_index] @ R.T - nt).ravel()
+    return r1, r2
+
+
+def residuals(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
+    """`residual_values` and their pose Jacobians: (r1, J1, r2, J2).
+
+    J1 is (M, 6) and J2 is (3M, 6). The translation columns of J2 are zero:
+    normals do not move with t. Callers that need only the residuals, such
+    as a line search, use `residual_values` and skip the Jacobians.
+    """
+    r1, r2 = residual_values(p, source, corr)
+    p = np.asarray(p, dtype=float).reshape(6)
     sp = source.points[corr.src_index]
     sn = source.normals[corr.src_index]
     nt = corr.tgt_normals
-    r1 = np.einsum("mi,mi->m", nt, sp @ R.T + pose.t - corr.tgt_points)
-    r2 = (sn @ R.T - nt).ravel()
     J1 = np.empty((len(nt), 6))
     J2 = np.zeros((r2.size, 6))
     for i, dR in enumerate(rotation_derivatives(p[:3])):
@@ -154,7 +166,7 @@ def loss_at_pose(
     weights: LossWeights = LossWeights(),
 ) -> float:
     """Total loss with matches frozen, as a function of the pose 6-vector."""
-    r1, _, r2, _ = residuals(p, source, corr)
+    r1, r2 = residual_values(p, source, corr)
     return float(weights.alpha * np.abs(r1).sum() + weights.lam * (r2 @ r2))
 
 

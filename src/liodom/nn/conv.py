@@ -12,7 +12,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     B, C, H, W = x.shape
     Ho = (H + 2 * pad - k) // stride + 1
     Wo = (W + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = x
+    if pad:
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        xp[:, :, pad:pad + H, pad:pad + W] = x
     cols = np.empty((B, C, k, k, Ho, Wo))
     for a in range(k):
         for b in range(k):

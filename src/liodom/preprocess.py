@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+RANSAC_BLOCK = 16    # plane hypotheses scored by one matmul
+
 
 @dataclass(frozen=True)
 class VoxelParams:
@@ -86,39 +88,70 @@ def ransac_ground_removal(
     if n < 3:
         return points, normals
     rng = np.random.default_rng(seed)
-    best_inliers = None
-    best_count = -1
+    anchors, plane_normals = [], []
     for _ in range(iterations):
         i, j, l = rng.choice(n, size=3, replace=False)
         plane_n = np.cross(points[j] - points[i], points[l] - points[i])
         norm = np.linalg.norm(plane_n)
         if norm < 1e-12:
             continue
-        plane_n = plane_n / norm
-        dist = np.abs((points - points[i]) @ plane_n)
-        inliers = dist < distance_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+        anchors.append(points[i])
+        plane_normals.append(plane_n / norm)
+    best_inliers = None
+    best_count = -1
+    # One matmul scores a block of planes: |p . n - anchor . n| per point.
+    for start in range(0, len(plane_normals), RANSAC_BLOCK):
+        block = np.array(plane_normals[start:start + RANSAC_BLOCK])
+        offsets = np.einsum("bi,bi->b", np.array(anchors[start:start + RANSAC_BLOCK]), block)
+        dist = points @ block.T
+        dist -= offsets
+        inliers = np.abs(dist, out=dist) < distance_threshold
+        counts = inliers.sum(axis=0)
+        k = int(np.argmax(counts))     # the first of a tie, as in draw order
+        if counts[k] > best_count:
+            best_count = int(counts[k])
+            best_inliers = inliers[:, k]
     if best_inliers is None or best_count < min_inlier_fraction * n:
         return points, normals
     keep = ~best_inliers
     return points[keep], normals[keep]
 
 
-def _voxel_bin(points: np.ndarray, side: float):
+def _voxel_keys(points: np.ndarray, side: float, bounds):
+    """Integer voxel keys shifted to start at 0, packed where they fit.
+
+    `bounds` is the cloud's per-axis (min, max). Division by a positive side
+    and floor are monotone, so floor(min / side) is the smallest key exactly.
+    Returns one int64 code per point, `(kx*span_y + ky)*span_z + kz`, which
+    sorts like its (x, y, z) key, or the (N, 3) keys when the grid is too
+    wide to pack into an int64.
+    """
+    pmin, pmax = bounds
+    lo = np.floor(pmin / side).astype(np.int64)
+    span = [int(s) + 1 for s in np.floor(pmax / side).astype(np.int64) - lo]
     keys = np.floor(points / side).astype(np.int64)
-    if len(keys):
-        keys -= keys.min(axis=0)
-        span = [int(s) + 1 for s in keys.max(axis=0)]
-        if span[0] * span[1] * span[2] < 2**63:
-            # One int64 code per voxel, ordered like its (x, y, z) key: a
-            # 1-D unique is about ten times faster than a row-wise one.
-            keys = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
+    keys -= lo
+    if span[0] * span[1] * span[2] < 2**63:
+        return (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
+    return keys
+
+
+def _voxel_count(points: np.ndarray, side: float, bounds) -> int:
+    """Number of occupied voxels, without binning the points."""
+    keys = _voxel_keys(points, side, bounds)
+    if keys.ndim == 2:
+        return len(np.unique(keys, axis=0))
+    if not len(keys):
+        return 0
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _voxel_bin(points: np.ndarray, side: float, bounds):
     # Sorted unique keys make the output order deterministic and
     # independent of any internal parallel split.
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    unique, inverse = np.unique(_voxel_keys(points, side, bounds), axis=0,
+                                return_inverse=True)
     return inverse, len(unique)
 
 
@@ -140,10 +173,10 @@ def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> Preproces
     """Voxel-grid downsample, adapting the side length toward the target count.
 
     The voxel representative is the arithmetic mean of member points; voxel
-    normals are averaged and renormalized. After each full binning pass the
-    side length moves by one step: up when there are too many voxels, down
-    when too few. If the budget runs out the closest-achieved result is
-    returned with met_target = False.
+    normals are averaged and renormalized. Each pass counts the occupied
+    voxels at the current side length, which then moves by one step: up when
+    there are too many voxels, down when too few. If the budget runs out the
+    closest-achieved result is returned with met_target = False.
     """
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -154,26 +187,31 @@ def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> Preproces
     if len(points) < lo:
         return PreprocessedCloud(points.copy(), normals.copy(), met_target=False,
                                  side_length=params.side_length, passes=0)
+    # Only the voxel count steers the walk; the points are binned once, at
+    # the accepted side or, if the budget runs out, at the closest one.
+    bounds = ((points.min(axis=0), points.max(axis=0)) if len(points)
+              else (np.zeros(3), np.zeros(3)))
     side = params.side_length
-    best = None
+    best_side = side
     best_gap = None
-    for it in range(1, params.max_iterations + 1):
-        inverse, n_voxels = _voxel_bin(points, side)
+    for passes in range(1, params.max_iterations + 1):
+        n_voxels = _voxel_count(points, side, bounds)
         gap = abs(n_voxels - params.target)
         if best_gap is None or gap < best_gap:
             best_gap = gap
-            best = (inverse, n_voxels, side, it)
+            best_side = side
         if lo <= n_voxels <= hi:
-            out_p, out_n = _voxel_reduce(points, normals, inverse, n_voxels)
-            return PreprocessedCloud(out_p, out_n, met_target=True, side_length=side, passes=it)
+            break
         if n_voxels > hi:
             side += params.step
         else:
             side = side - params.step if side - params.step > 1e-6 else side / 2.0
-    inverse, n_voxels, side, _ = best
+    else:
+        side, passes = best_side, params.max_iterations
+    inverse, n_voxels = _voxel_bin(points, side, bounds)
     out_p, out_n = _voxel_reduce(points, normals, inverse, n_voxels)
-    return PreprocessedCloud(out_p, out_n, met_target=False, side_length=side,
-                             passes=params.max_iterations)
+    return PreprocessedCloud(out_p, out_n, met_target=lo <= n_voxels <= hi,
+                             side_length=side, passes=passes)
 
 
 def preprocess_cloud(

@@ -3,9 +3,9 @@
 Gauss-Newton on the residuals of `matching.residuals`: the point-to-plane
 rows weighted by sqrt(alpha) and the normal rows by sqrt(lambda), so the
 squared cost is the loss with the absolute value replaced by a square. A
-halving line search keeps each step downhill; the absolute-value loss is
-used only for reporting. Outer iterations re-match, inner iterations
-descend under a fixed matching.
+halving line search keeps each step downhill and evaluates only the
+residual values; the absolute-value loss is used only for reporting. Outer
+iterations re-match, inner iterations descend under a fixed matching.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .matching import (
     build_index,
     loss_at_pose,
     match_nearest,
+    residual_values,
     residuals,
     transformed_cloud,
 )
@@ -58,19 +59,29 @@ def register(
     init: Pose = Pose.identity(),
     opts: RegistrationOptions = RegistrationOptions(),
 ):
-    """Estimate the pose aligning source onto target; returns (Pose, diagnostics)."""
-    index = build_index(target)
+    """Estimate the pose aligning source onto target; returns (Pose, diagnostics).
+
+    Raises RegistrationError, whose .pose is the pose to fall back to: the
+    identity when `init` is not finite, `init` when the first matching is
+    empty or the result is not finite.
+    """
     p = init.as_vector()
+    if not np.isfinite(p).all():
+        raise RegistrationError("non-finite initial pose", Pose.identity())
+    index = build_index(target)
     diag = RegistrationDiagnostics()
     sqrt_alpha, sqrt_lam = np.sqrt(opts.weights.alpha), np.sqrt(opts.weights.lam)
 
-    def weighted(p):
-        """Stacked weighted residual and Jacobian under the current matches."""
-        r1, J1, r2, J2 = residuals(p, source, corr)
+    def stacked(rows1, rows2):
+        """Point-to-plane rows weighted by sqrt(alpha) over normal rows by sqrt(lambda)."""
         if sqrt_lam > 0:
-            return (np.concatenate([sqrt_alpha * r1, sqrt_lam * r2]),
-                    np.vstack([sqrt_alpha * J1, sqrt_lam * J2]))
-        return sqrt_alpha * r1, sqrt_alpha * J1
+            return np.concatenate([sqrt_alpha * rows1, sqrt_lam * rows2])
+        return sqrt_alpha * rows1
+
+    def cost(p):
+        """Squared weighted residual under the current matches, no Jacobian."""
+        r = stacked(*residual_values(p, source, corr))
+        return float(r @ r)
 
     for outer in range(MAX_OUTER):
         diag.outer_iterations = outer + 1
@@ -84,15 +95,14 @@ def register(
         diag.match_counts.append(len(corr))
         moved_outer = False
         for _ in range(MAX_INNER):
-            r, J = weighted(p)
+            r1, J1, r2, J2 = residuals(p, source, corr)
+            r, J = stacked(r1, r2), stacked(J1, J2)
             A = J.T @ J + 1e-9 * np.eye(6)
             delta = np.linalg.solve(A, -(J.T @ r))
-            cost = float(r @ r)
+            cost_p = float(r @ r)
             step = 1.0
             for _ in range(12):
-                candidate = p + step * delta
-                r_c, _ = weighted(candidate)
-                if float(r_c @ r_c) < cost:
+                if cost(p + step * delta) < cost_p:
                     break
                 step *= 0.5
             else:
@@ -105,4 +115,6 @@ def register(
         if not moved_outer:
             diag.converged = True
             break
+    if not np.isfinite(p).all():
+        raise RegistrationError("registration produced a non-finite pose", init)
     return Pose.from_vector(p), diag

@@ -180,6 +180,16 @@ class TestInferConfig:
         cfg = load_config(resolved)
         assert cfg.weights.lam == 0.0 and cfg.feature_dim == 16
 
+    def test_missed_voxel_targets_warned(self, tmp_path, lam0_run, capsys):
+        code, _ = self._infer(tmp_path, lam0_run)
+        assert code == 0
+        assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
+
+    def test_no_warning_when_targets_met(self, tmp_path, lam0_run, capsys):
+        code, _ = self._infer(tmp_path, lam0_run, "--set", "voxel.tolerance=100000")
+        assert code == 0
+        assert "voxel target" not in capsys.readouterr().err
+
     def test_mismatched_checkpoint_is_config_error(self, tmp_path, lam0_run, capsys):
         wide = tmp_path / "wide.yaml"
         wide.write_text(yaml.safe_dump({"pipeline": {"feature_dim": 32}}))

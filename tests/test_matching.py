@@ -6,7 +6,7 @@ from liodom.matching import (CorrespondenceSet, EmptyMatchError, KdIndex,
                              LossWeights, build_index, loss_at_pose,
                              loss_gradient, match_nearest,
                              plane_to_plane_loss, point_to_plane_loss,
-                             total_loss)
+                             residual_values, residuals, total_loss)
 from liodom.pipeline import FramePair, pixel_correspondences
 from liodom.preprocess import PreprocessedCloud
 from liodom.range_image import ProjectionConfig, compute_normal_map, project
@@ -205,6 +205,16 @@ class TestLossGradient:
                 distances=corr.distances, src_index=corr.src_index)
             assert loss_at_pose(p, src, corr, w) == pytest.approx(
                 total_loss(moved, w), rel=1e-12, abs=1e-12)
+
+    def test_residual_values_are_the_kernel_residuals(self):
+        src, corr = self._setup()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            p = rng.uniform(-0.5, 0.5, 6)
+            r1, r2 = residual_values(p, src, corr)
+            want = residuals(p, src, corr)[0::2]
+            np.testing.assert_array_equal(r1, want[0])
+            np.testing.assert_array_equal(r2, want[1])
 
     def test_zero_residual_subgradient(self):
         # exactly overlapping pair: the absolute value kink contributes 0

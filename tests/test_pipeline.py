@@ -266,6 +266,15 @@ class TestRunSequence:
         np.testing.assert_array_equal(relatives[0].matrix, learned.matrix)
         assert np.abs(learned.t).max() > 0
 
+    def test_hybrid_non_finite_learned_pose_is_flagged(self):
+        cfg = _tiny_cfg(imu_mode="none")
+        pairs, _ = _pairs(cfg)
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = np.nan
+        absolute, _, flags = run_sequence(pairs, "hybrid", cfg, model=model)
+        assert flags == ["registration-failed"] * len(pairs)
+        assert all(np.isfinite(pose.matrix).all() for pose in absolute)
+
     def test_learned_zero_init_gives_identity_trajectory(self):
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from liodom.preprocess import (VoxelParams, adaptive_voxel_downsample,
+from liodom.preprocess import (RANSAC_BLOCK, VoxelParams,
+                               adaptive_voxel_downsample,
                                estimate_normals_planefit, preprocess_cloud,
                                ransac_ground_removal)
 
@@ -79,6 +81,115 @@ class TestRansacGround:
         assert len(kept_p) == len(pts)
 
 
+def _reference_ransac(points, normals, distance_threshold=0.1, iterations=100,
+                      min_inlier_fraction=0.2, seed=0):
+    """RANSAC scored one hypothesis at a time, keeping the first best count."""
+    n = len(points)
+    if n < 3:
+        return points, normals
+    rng = np.random.default_rng(seed)
+    best_inliers = None
+    best_count = -1
+    for _ in range(iterations):
+        i, j, l = rng.choice(n, size=3, replace=False)
+        plane_n = np.cross(points[j] - points[i], points[l] - points[i])
+        norm = np.linalg.norm(plane_n)
+        if norm < 1e-12:
+            continue
+        plane_n = plane_n / norm
+        inliers = np.abs((points - points[i]) @ plane_n) < distance_threshold
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+    if best_inliers is None or best_count < min_inlier_fraction * n:
+        return points, normals
+    return points[~best_inliers], normals[~best_inliers]
+
+
+def _ransac_cloud(kind, rng):
+    if kind == "ground":
+        ground = _plane_points(rng, [0.05, 0.0, 1.0], -1.6, n=900, extent=15.0, sigma=0.02)
+        wall = _plane_points(rng, [1.0, 0.0, 0.0], 8.0, n=300, extent=3.0, sigma=0.02)
+        return np.vstack([ground, wall + [0.0, 0.0, 2.0]])
+    if kind == "no-plane":
+        return rng.uniform(-10, 10, (600, 3))
+    if kind == "two-equal-planes":
+        # Exact planes z = 0 and z = 5 of equal size: their hypotheses tie.
+        planes = [np.column_stack([rng.uniform(-10, 10, (250, 2)), np.full(250, z)])
+                  for z in (0.0, 5.0)]
+        return np.vstack(planes + [rng.uniform(-10, 10, (100, 3))])
+    if kind == "duplicates":
+        # 12 distinct points, each 20 times: many triplets repeat a point.
+        return np.repeat(rng.uniform(-3, 3, (12, 3)), 20, axis=0)
+    if kind == "collinear":
+        line = np.outer(rng.uniform(-5, 5, 200), [1.0, 2.0, -0.5])
+        return np.vstack([line, rng.uniform(-5, 5, (8, 3))])
+    if kind == "all-collinear":
+        return np.outer(np.arange(50.0), [0.5, -1.0, 2.0])
+    raise ValueError(kind)
+
+
+class TestRansacMatchesPerHypothesisLoop:
+    @pytest.mark.parametrize("kind", ["ground", "no-plane", "two-equal-planes",
+                                      "duplicates", "collinear", "all-collinear"])
+    @pytest.mark.parametrize("iterations", [1, RANSAC_BLOCK - 1, RANSAC_BLOCK + 1, 37, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_plane_removed(self, kind, iterations, seed):
+        rng = np.random.default_rng(seed)
+        pts = _ransac_cloud(kind, rng)
+        nrm = rng.standard_normal(pts.shape)
+        fraction = 0.1 if kind == "collinear" else 0.2
+        got = ransac_ground_removal(pts, nrm, iterations=iterations,
+                                    min_inlier_fraction=fraction, seed=seed)
+        want = _reference_ransac(pts, nrm, iterations=iterations,
+                                 min_inlier_fraction=fraction, seed=seed)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def _reference_voxel_walk(points, normals, params):
+    """The voxel walk binned with a row-wise unique at every pass.
+
+    Returns (points, normals, side_length, passes, met_target).
+    """
+    lo = params.target - params.tolerance
+    hi = params.target + params.tolerance
+    if len(points) < lo:
+        return points, normals, params.side_length, 0, False
+
+    def binned(inverse, n_voxels):
+        counts = np.bincount(inverse, minlength=n_voxels).astype(float)
+        out_p = np.zeros((n_voxels, 3))
+        out_n = np.zeros((n_voxels, 3))
+        for c in range(3):
+            out_p[:, c] = np.bincount(inverse, weights=points[:, c], minlength=n_voxels) / counts
+            out_n[:, c] = np.bincount(inverse, weights=normals[:, c], minlength=n_voxels)
+        norms = np.linalg.norm(out_n, axis=1)
+        degenerate = norms < 1e-12
+        out_n[~degenerate] /= norms[~degenerate][:, None]
+        out_n[degenerate] = np.array([0.0, 0.0, 1.0])
+        return out_p, out_n
+
+    side = params.side_length
+    best = None
+    for it in range(1, params.max_iterations + 1):
+        keys = np.floor(points / side).astype(np.int64)
+        unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+        n_voxels = len(unique)
+        gap = abs(n_voxels - params.target)
+        if best is None or gap < best[0]:
+            best = (gap, inverse, n_voxels, side)
+        if lo <= n_voxels <= hi:
+            return (*binned(inverse, n_voxels), side, it, True)
+        if n_voxels > hi:
+            side += params.step
+        else:
+            side = side - params.step if side - params.step > 1e-6 else side / 2.0
+    _, inverse, n_voxels, side = best
+    return (*binned(inverse, n_voxels), side, params.max_iterations, False)
+
+
 class TestAdaptiveVoxel:
     def _uniform(self, seed, n, extent):
         rng = np.random.default_rng(seed)
@@ -141,6 +252,34 @@ class TestAdaptiveVoxel:
         _, inverse = np.unique(keys, axis=0, return_inverse=True)
         means = np.stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)], axis=1)
         np.testing.assert_array_equal(cloud.points, means / np.bincount(inverse)[:, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400),
+       offset=st.floats(-50.0, 50.0), extent=st.floats(0.5, 20.0),
+       grid=st.sampled_from([None, 0.25, 1.0]),
+       side=st.sampled_from([1e-12, 0.05, 0.3, 1.1]),
+       step=st.sampled_from([0.01, 0.05, 0.2]),
+       target=st.integers(1, 300), tolerance=st.integers(0, 40),
+       max_iterations=st.integers(1, 25))
+@example(seed=0, n=0, offset=0.0, extent=1.0, grid=None, side=0.3, step=0.01,
+         target=20, tolerance=30, max_iterations=5)      # empty cloud, walked
+@example(seed=1, n=300, offset=-20.0, extent=8.0, grid=None, side=1e-12,
+         step=0.01, target=300, tolerance=10, max_iterations=3)   # packing fallback
+def test_voxel_walk_matches_row_wise_reference(seed, n, offset, extent, grid, side,
+                                               step, target, tolerance, max_iterations):
+    rng = np.random.default_rng(seed)
+    pts = offset + rng.uniform(-extent, extent, (n, 3)) * rng.uniform(0.05, 1.0, 3)
+    if grid is not None:        # repeated points share a voxel at every side
+        pts = np.round(pts / grid) * grid
+    nrm = rng.standard_normal((n, 3))
+    params = VoxelParams(side_length=side, step=step, target=target,
+                         tolerance=tolerance, max_iterations=max_iterations)
+    got = adaptive_voxel_downsample(pts, nrm, params)
+    want = _reference_voxel_walk(pts, nrm, params)
+    np.testing.assert_array_equal(got.points, want[0])
+    np.testing.assert_array_equal(got.normals, want[1])
+    assert (got.side_length, got.passes, got.met_target) == want[2:]
 
 
 def test_preprocess_cloud_end_to_end():

@@ -65,6 +65,14 @@ def test_disjoint_clouds_raise_with_pose():
     assert isinstance(exc.value.pose, Pose)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_pose_raises_with_identity(bad):
+    _, target, _ = random_scene_pair(seed=0)
+    with pytest.raises(RegistrationError, match="non-finite") as exc:
+        register(target, target, init=Pose(t=[0.0, bad, 0.0]))
+    np.testing.assert_array_equal(exc.value.pose.matrix, np.eye(4))
+
+
 def test_respects_loss_weights():
     source, target, true = random_scene_pair(seed=9)
     opts = RegistrationOptions(weights=LossWeights(alpha=1.0, lam=0.0))
