@@ -150,6 +150,8 @@ def cmd_synth(args) -> int:
 
 
 def _load_sequence(data_dir: Path, cfg):
+    """Frame pairs of a KITTI-format sequence; warns about clouds that missed
+    the voxel target."""
     scans = sorted((data_dir / "velodyne").glob("*.bin"))
     if not scans:
         raise FormatError(f"{data_dir}: no velodyne/*.bin scans")
@@ -160,7 +162,13 @@ def _load_sequence(data_dir: Path, cfg):
         records = read_oxts(data_dir / "oxts")
         record_times = np.loadtxt(data_dir / "oxts_times.txt")
         imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
-    return build_frame_pairs(points, cfg, imu_windows=imu_windows)
+    pairs = build_frame_pairs(points, cfg, imu_windows=imu_windows)
+    clouds = [fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs]
+    missed = sum(not cloud.met_target for cloud in clouds)
+    if missed:
+        print(f"warning: {missed} of {len(clouds)} clouds missed the voxel target",
+              file=sys.stderr)
+    return pairs
 
 
 def cmd_train(args) -> int:
@@ -213,11 +221,6 @@ def cmd_infer(args) -> int:
             raise ConfigError(f"{args.checkpoint} does not fit the resolved config: "
                               f"{exc}") from exc
     pairs = _load_sequence(Path(args.data), cfg)
-    clouds = [fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs]
-    missed = sum(not cloud.met_target for cloud in clouds)
-    if missed:
-        print(f"warning: {missed} of {len(clouds)} clouds missed the voxel target",
-              file=sys.stderr)
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     failed = flags.count("registration-failed")
     if failed:

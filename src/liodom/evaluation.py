@@ -59,8 +59,7 @@ def _path_lengths(poses) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def kitti_relative_errors(estimated, ground_truth, lengths=SEGMENT_LENGTHS,
-                          stride: int = 1) -> SegmentErrorReport:
+def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentErrorReport:
     """Segment-based relative errors over frame-aligned trajectories.
 
     For each start frame (every `stride` frames) and target length L, the
@@ -75,9 +74,9 @@ def kitti_relative_errors(estimated, ground_truth, lengths=SEGMENT_LENGTHS,
     gt = np.stack([p.matrix for p in ground_truth])
     est = np.stack([p.matrix for p in estimated])
     report = SegmentErrorReport()
-    sums = {L: [0.0, 0.0, 0] for L in lengths}
+    sums = {L: [0.0, 0.0, 0] for L in SEGMENT_LENGTHS}
     for start in range(0, len(gt), stride):
-        for L in lengths:
+        for L in SEGMENT_LENGTHS:
             end = int(np.searchsorted(dist, dist[start] + L))
             if end >= len(gt):
                 continue
@@ -88,7 +87,7 @@ def kitti_relative_errors(estimated, ground_truth, lengths=SEGMENT_LENGTHS,
             sums[L][1] += rotation_angle(err[:3, :3]) / L
             sums[L][2] += 1
     t_acc, r_acc, n_lengths = 0.0, 0.0, 0
-    for L in lengths:
+    for L in SEGMENT_LENGTHS:
         t_sum, r_sum, n = sums[L]
         if n == 0:
             continue

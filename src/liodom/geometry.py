@@ -68,20 +68,34 @@ def rotation_derivatives(q) -> list[np.ndarray]:
     return [rz @ ry @ _drot_x(roll), rz @ _drot_y(pitch) @ rx, _drot_z(yaw) @ ry @ rx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
-    """Relative rigid transform: Euler angles q (rad) and translation t (m)."""
+    """Relative rigid transform: Euler angles q (rad) and translation t (m).
+
+    q, t and the rotation matrix are read-only, so the matrix is computed
+    once per pose, at first use, and shared by every move of that pose.
+    Slots keep each pose small: a trajectory holds thousands of them.
+    """
 
     q: np.ndarray = field(default_factory=lambda: np.zeros(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    _rotation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
+        for name in ("q", "t"):
+            v = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            if v.flags.writeable:     # read-only arrays, such as another pose's, are shared
+                v = v.copy()
+                v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def rotation(self) -> np.ndarray:
-        return euler_to_matrix(self.q)
+        if self._rotation is None:
+            R = euler_to_matrix(self.q)
+            R.flags.writeable = False
+            object.__setattr__(self, "_rotation", R)
+        return self._rotation
 
     @property
     def matrix(self) -> np.ndarray:
@@ -124,7 +138,11 @@ def compose(outer: Pose, inner: Pose) -> Pose:
 
 
 def apply_to_point(T: Pose, v) -> np.ndarray:
-    """R v + t. Accepts a single 3-vector or an (N, 3) array."""
+    """R v + t. Accepts a single 3-vector or an (N, 3) array.
+
+    With `apply_to_normal`, the one place the package moves points and
+    normals forward by a pose.
+    """
     v = np.asarray(v, dtype=float)
     return v @ T.rotation.T + T.t
 
@@ -133,20 +151,6 @@ def apply_to_normal(T: Pose, n) -> np.ndarray:
     """R n: translation does not move normals. Accepts (3,) or (N, 3)."""
     n = np.asarray(n, dtype=float)
     return n @ T.rotation.T
-
-
-def point_jacobian(p, v) -> np.ndarray:
-    """3x6 Jacobian of R(q) v + t with respect to p = (q, t).
-
-    Columns 0-2 differentiate the ZYX rotation, columns 3-5 are identity.
-    """
-    p = np.asarray(p, dtype=float).reshape(6)
-    v = np.asarray(v, dtype=float).reshape(3)
-    J = np.empty((3, 6))
-    for i, dR in enumerate(rotation_derivatives(p[:3])):
-        J[:, i] = dR @ v
-    J[:, 3:] = np.eye(3)
-    return J
 
 
 def rotation_angle(R: np.ndarray) -> float:

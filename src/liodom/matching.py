@@ -1,8 +1,10 @@
 """Correspondence search and the unsupervised registration losses.
 
 Nearest-neighbor matching runs on a KD-tree over the target cloud (exact,
-verified against linear scan in the tests). The point-to-plane loss sums
-absolute projections of match residuals onto target normals; the
+verified against linear scan in the tests). A match set holds only the
+indices of the matched source points and their frozen targets; the source
+is moved by the pose whenever a loss is evaluated. The point-to-plane loss
+sums absolute projections of match residuals onto target normals; the
 plane-to-plane loss sums squared differences of matched unit normals.
 
 `residual_values` is the one formula for both terms as functions of the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Pose, rotation_derivatives
+from .geometry import Pose, apply_to_normal, apply_to_point, rotation_derivatives
 from .preprocess import PreprocessedCloud
 
 
@@ -36,18 +38,20 @@ class LossWeights:
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("loss weights must be non-negative")
 
+    def combine(self, terms) -> float:
+        """alpha * point-to-plane + lambda * plane-to-plane, from `loss_terms`."""
+        po2pl, pl2pl = terms
+        return self.alpha * po2pl + self.lam * pl2pl
+
 
 @dataclass
 class CorrespondenceSet:
-    src_points: np.ndarray    # (M, 3) transformed source points
-    src_normals: np.ndarray   # (M, 3)
+    src_index: np.ndarray     # (M,) indices of the matched points in the source cloud
     tgt_points: np.ndarray    # (M, 3)
     tgt_normals: np.ndarray   # (M, 3)
-    distances: np.ndarray     # (M,)
-    src_index: np.ndarray     # (M,) indices of the matched points in the source cloud
 
     def __len__(self):
-        return len(self.distances)
+        return len(self.src_index)
 
 
 class KdIndex:
@@ -82,42 +86,14 @@ def match_nearest(
     keep = dist <= max_dist
     if not keep.any():
         raise EmptyMatchError(f"no matches within {max_dist} m")
-    tgt = index.cloud
-    return CorrespondenceSet(
-        src_points=source.points[keep],
-        src_normals=source.normals[keep],
-        tgt_points=tgt.points[tgt_idx[keep]],
-        tgt_normals=tgt.normals[tgt_idx[keep]],
-        distances=dist[keep],
-        src_index=np.flatnonzero(keep),
-    )
-
-
-def point_to_plane_loss(corr: CorrespondenceSet) -> float:
-    """Sum of |n_target . (p_source - p_target)| over correspondences."""
-    if len(corr) == 0:
-        raise EmptyMatchError("empty correspondence set")
-    residual = np.einsum("mi,mi->m", corr.tgt_normals, corr.src_points - corr.tgt_points)
-    return float(np.abs(residual).sum())
-
-
-def plane_to_plane_loss(corr: CorrespondenceSet) -> float:
-    """Sum of squared differences between matched unit normals."""
-    if len(corr) == 0:
-        raise EmptyMatchError("empty correspondence set")
-    diff = corr.src_normals - corr.tgt_normals
-    return float(np.einsum("mi,mi->", diff, diff))
-
-
-def total_loss(corr: CorrespondenceSet, weights: LossWeights = LossWeights()) -> float:
-    """alpha * point-to-plane + lambda * plane-to-plane."""
-    return weights.alpha * point_to_plane_loss(corr) + weights.lam * plane_to_plane_loss(corr)
+    hit = tgt_idx[keep]
+    return CorrespondenceSet(np.flatnonzero(keep), index.cloud.points[hit], index.cloud.normals[hit])
 
 
 def transformed_cloud(cloud: PreprocessedCloud, pose: Pose) -> PreprocessedCloud:
     """The cloud moved by pose: points to R p + t, normals to R n."""
-    R = pose.rotation
-    return PreprocessedCloud(points=cloud.points @ R.T + pose.t, normals=cloud.normals @ R.T)
+    return PreprocessedCloud(points=apply_to_point(pose, cloud.points),
+                             normals=apply_to_normal(pose, cloud.normals))
 
 
 def residual_values(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
@@ -128,13 +104,11 @@ def residual_values(p: np.ndarray, source: PreprocessedCloud, corr: Corresponden
     r1 = n_t . (R s + t - t_p), shape (M,), and r2 = (R n_s - n_t).ravel(),
     shape (3M,).
     """
-    if (corr.src_index < 0).any():
-        raise ValueError("correspondence set lacks source indices")
-    pose = Pose.from_vector(np.asarray(p, dtype=float).reshape(6))
-    R = pose.rotation
+    pose = Pose.from_vector(p)
     nt = corr.tgt_normals
-    r1 = np.einsum("mi,mi->m", nt, source.points[corr.src_index] @ R.T + pose.t - corr.tgt_points)
-    r2 = (source.normals[corr.src_index] @ R.T - nt).ravel()
+    moved = apply_to_point(pose, source.points[corr.src_index])
+    r1 = np.einsum("mi,mi->m", nt, moved - corr.tgt_points)
+    r2 = (apply_to_normal(pose, source.normals[corr.src_index]) - nt).ravel()
     return r1, r2
 
 
@@ -159,6 +133,19 @@ def residuals(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet)
     return r1, J1, r2, J2
 
 
+def loss_terms(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
+    """(point-to-plane, plane-to-plane) at pose p, matches frozen.
+
+    Point-to-plane is the sum of |r1|, plane-to-plane the sum of squares of
+    r2. An empty set raises EmptyMatchError so a zero loss can never
+    reward divergence.
+    """
+    if len(corr) == 0:
+        raise EmptyMatchError("empty correspondence set")
+    r1, r2 = residual_values(p, source, corr)
+    return float(np.abs(r1).sum()), float(r2 @ r2)
+
+
 def loss_at_pose(
     p: np.ndarray,
     source: PreprocessedCloud,
@@ -166,8 +153,7 @@ def loss_at_pose(
     weights: LossWeights = LossWeights(),
 ) -> float:
     """Total loss with matches frozen, as a function of the pose 6-vector."""
-    r1, r2 = residual_values(p, source, corr)
-    return float(weights.alpha * np.abs(r1).sum() + weights.lam * (r2 @ r2))
+    return weights.combine(loss_terms(p, source, corr))
 
 
 def loss_gradient(

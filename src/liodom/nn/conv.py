@@ -1,4 +1,11 @@
-"""2D convolution, channel normalization, residual blocks, and the map encoder."""
+"""2D convolution, channel normalization, residual blocks, and the map encoder.
+
+Subgradient convention: every ReLU backward multiplies by its forward
+`> 0` mask, so ReLU'(0) = 0, as `matching.loss_gradient` takes
+sign(0) = 0 for the absolute value. At an exact kink the gradient is 0,
+neither one-sided derivative, so central differences across a kink do
+not check it.
+"""
 
 from __future__ import annotations
 
@@ -152,6 +159,12 @@ class MapEncoder(Module):
     Input is (B, 6, H, W) -- two 3-channel maps stacked. Stem conv, three
     residual stages of two basic blocks each with stride-2 downsampling
     between stages, global average pool, FC to the feature width.
+
+    Invalid pixels reach the encoder unmasked, as the maps' zero vectors.
+    While conv biases, norm shifts and running means are zero, as
+    initialised, every ReLU pre-activation computed from invalid pixels
+    alone is exactly 0, so under ReLU'(0) = 0 it passes no gradient to
+    those biases and shifts.
     """
 
     def __init__(self, widths=(16, 32, 64), feature_dim: int = 256, in_ch: int = 6,

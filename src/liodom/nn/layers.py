@@ -100,16 +100,15 @@ class LSTM(Module):
         self.hidden_size = h
         self._cache = None
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None,
-                c0: np.ndarray | None = None):
-        """Returns (hidden sequence (B, S, H), final hidden (B, H))."""
+    def forward(self, x: np.ndarray):
+        """Returns (hidden sequence (B, S, H), final hidden (B, H)) from zero states."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             x = x[None]
         B, S, _ = x.shape
         H = self.hidden_size
-        h = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=float)
-        c = np.zeros((B, H)) if c0 is None else np.array(c0, dtype=float)
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
         steps = []
         hs = np.empty((B, S, H))
         for s in range(S):
@@ -123,10 +122,9 @@ class LSTM(Module):
             tc = np.tanh(c)
             h = o * tc
             hs[:, s] = h
-            steps.append((x[:, s], i, f, g, o, c_prev, tc, None))
+            steps.append((x[:, s], i, f, g, o, c_prev, tc))
         # each step also needs the previous hidden state for w_hh grads
-        h_prevs = np.concatenate([np.zeros((B, 1, H)) if h0 is None else np.array(h0)[:, None],
-                                  hs[:, :-1]], axis=1)
+        h_prevs = np.concatenate([np.zeros((B, 1, H)), hs[:, :-1]], axis=1)
         self._cache = (steps, h_prevs)
         return hs, h
 
@@ -149,7 +147,7 @@ class LSTM(Module):
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for s in reversed(range(S)):
-            xt, i, f, g, o, c_prev, tc, _ = steps[s]
+            xt, i, f, g, o, c_prev, tc = steps[s]
             dh = grad_hs[:, s] + dh_next
             do = dh * tc
             dc = dh * o * (1.0 - tc * tc) + dc_next

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose, compose
+from .geometry import Pose, apply_to_point, compose
 from .matching import (
     CorrespondenceSet,
     EmptyMatchError,
@@ -24,10 +24,8 @@ from .matching import (
     LossWeights,
     build_index,
     loss_gradient,
+    loss_terms,
     match_nearest,
-    plane_to_plane_loss,
-    point_to_plane_loss,
-    total_loss,
     transformed_cloud,
 )
 from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, Module, StepLR
@@ -244,31 +242,22 @@ def pixel_correspondences(fp: FramePair, pose: Pose, cfg: ProjectionConfig):
     if not src_mask.any():
         raise EmptyMatchError("pixel matching found no current pixel with a valid normal")
     source = PreprocessedCloud(fp.v_cur.grid[src_mask], fp.n_cur.grid[src_mask])
-    moved = transformed_cloud(source, pose)
-    vmap, winner = project_with_indices(moved.points, cfg)
+    _, winner = project_with_indices(apply_to_point(pose, source.points), cfg)
     both = (winner >= 0) & fp.v_last.valid & fp.n_last.valid
     if not both.any():
         raise EmptyMatchError("pixel matching found no shared valid pixels")
-    idx = winner[both]
-    sp = moved.points[idx]
-    tp = fp.v_last.grid[both]
-    corr = CorrespondenceSet(
-        src_points=sp, src_normals=moved.normals[idx],
-        tgt_points=tp, tgt_normals=fp.n_last.grid[both],
-        distances=np.linalg.norm(sp - tp, axis=1), src_index=idx,
-    )
-    return source, corr
+    return source, CorrespondenceSet(winner[both], fp.v_last.grid[both], fp.n_last.grid[both])
 
 
 def pair_loss(fp: FramePair, pose: Pose, cfg: PipelineConfig):
-    """(source cloud, correspondences, loss value) at a predicted pose."""
+    """(source cloud, correspondences, `loss_terms`) at a predicted pose."""
     if cfg.matching == "pixel":
         source, corr = pixel_correspondences(fp, pose, cfg.projection)
     else:
         source = fp.cur_cloud
-        moved = transformed_cloud(source, pose)
-        corr = match_nearest(moved, fp.target_index(), max_dist=cfg.max_match_dist)
-    return source, corr, total_loss(corr, cfg.weights)
+        corr = match_nearest(transformed_cloud(source, pose), fp.target_index(),
+                             max_dist=cfg.max_match_dist)
+    return source, corr, loss_terms(pose.as_vector(), source, corr)
 
 
 def composed_pose_gradients(p_delta: np.ndarray, p_hat: np.ndarray,
@@ -306,15 +295,14 @@ class EpochStats:
 def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     """Forward + backward for one pair; gradients accumulate on the model."""
     pose, diag = estimate_pair(fp, model, cfg)
-    source, corr, loss = pair_loss(fp, pose, cfg)
+    source, corr, terms = pair_loss(fp, pose, cfg)
     diag.matches = len(corr)
-    diag.loss = loss
+    diag.loss = cfg.weights.combine(terms)
     p_delta = diag.residual.as_vector()
     p_hat = diag.initial.as_vector()
     grad_delta, grad_hat = composed_pose_gradients(p_delta, p_hat, source, corr, cfg.weights)
     model.backward(grad_delta, grad_hat)
-    terms = (point_to_plane_loss(corr), plane_to_plane_loss(corr))
-    return loss, terms, diag
+    return diag.loss, terms, diag
 
 
 def train_epoch(pairs, model: OdometryModel, optimizer: Adam,

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-RANSAC_BLOCK = 16    # plane hypotheses scored by one matmul
+# Loss-side preprocessing settings, shared by preprocess_cloud and the
+# defaults of its stages.
+PLANEFIT_K = 10              # neighbours per plane-fit normal
+RANSAC_THRESHOLD = 0.1       # m, point-to-plane distance of a ground inlier
+RANSAC_ITERATIONS = 100      # plane hypotheses drawn
+MIN_INLIER_FRACTION = 0.2    # inlier share below which there is no ground
+RANSAC_BLOCK = 16            # plane hypotheses scored by one matmul
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class PreprocessedCloud:
         return len(self.points)
 
 
-def estimate_normals_planefit(points: np.ndarray, k: int = 10):
+def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K):
     """Per-point normals from PCA over k nearest neighbors.
 
     The normal is the smallest-eigenvalue eigenvector of the neighborhood
@@ -72,9 +78,9 @@ def estimate_normals_planefit(points: np.ndarray, k: int = 10):
 def ransac_ground_removal(
     points: np.ndarray,
     normals: np.ndarray,
-    distance_threshold: float = 0.1,
-    iterations: int = 100,
-    min_inlier_fraction: float = 0.2,
+    distance_threshold: float = RANSAC_THRESHOLD,
+    iterations: int = RANSAC_ITERATIONS,
+    min_inlier_fraction: float = MIN_INLIER_FRACTION,
     seed: int = 0,
 ):
     """Remove the dominant plane found by RANSAC from both streams.
@@ -214,21 +220,11 @@ def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> Preproces
                              side_length=side, passes=passes)
 
 
-def preprocess_cloud(
-    points: np.ndarray,
-    params: VoxelParams,
-    planefit_k: int = 10,
-    ransac_threshold: float = 0.1,
-    ransac_iterations: int = 100,
-    min_inlier_fraction: float = 0.2,
-    seed: int = 0,
-) -> PreprocessedCloud:
-    """Full loss-side pipeline: plane-fit normals, ground removal, downsample."""
-    normals, valid = estimate_normals_planefit(points, k=planefit_k)
-    pts, nrm = points[valid], normals[valid]
-    pts, nrm = ransac_ground_removal(
-        pts, nrm, distance_threshold=ransac_threshold,
-        iterations=ransac_iterations, min_inlier_fraction=min_inlier_fraction,
-        seed=seed,
-    )
+def preprocess_cloud(points: np.ndarray, params: VoxelParams) -> PreprocessedCloud:
+    """Full loss-side pipeline: plane-fit normals, ground removal, downsample.
+
+    Normals and ground removal run with this module's default settings.
+    """
+    normals, valid = estimate_normals_planefit(points)
+    pts, nrm = ransac_ground_removal(points[valid], normals[valid])
     return adaptive_voxel_downsample(pts, nrm, params)

@@ -53,10 +53,6 @@ class VertexMap:
     def shape(self):
         return self.valid.shape
 
-    def points(self) -> np.ndarray:
-        """Valid vertices as an (N, 3) array, row-major pixel order."""
-        return self.grid[self.valid]
-
 
 @dataclass
 class NormalMap:
@@ -118,32 +114,28 @@ def compute_normal_map(vmap: VertexMap) -> NormalMap:
     """
     H, W = vmap.shape
     grid, valid = vmap.grid, vmap.valid
-    depth = np.linalg.norm(grid, axis=2)
+    # One zero-padded copy: every neighbor grid is a slice of it, and a
+    # neighbor beyond the border is invalid with depth 0.
+    padded = np.zeros((H + 2, W + 2, 3))
+    padded[1:-1, 1:-1] = grid
+    padded_valid = np.zeros((H + 2, W + 2), dtype=bool)
+    padded_valid[1:-1, 1:-1] = valid
+    padded_depth = np.linalg.norm(padded, axis=2)
+    depth = padded_depth[1:-1, 1:-1]
 
-    def shifted(dh, dw):
-        g = np.zeros_like(grid)
-        v = np.zeros_like(valid)
-        hs = slice(max(dh, 0), H + min(dh, 0))
-        ws = slice(max(dw, 0), W + min(dw, 0))
-        ht = slice(max(-dh, 0), H + min(-dh, 0))
-        wt = slice(max(-dw, 0), W + min(-dw, 0))
-        g[ht, wt] = grid[hs, ws]
-        v[ht, wt] = valid[hs, ws]
-        return g, v
-
+    rows, cols = slice(1, H + 1), slice(1, W + 1)
     # up, right, down, left
-    neighbors = [shifted(-1, 0), shifted(0, 1), shifted(1, 0), shifted(0, -1)]
+    neighbors = [(slice(0, H), cols), (rows, slice(2, W + 2)),
+                 (slice(2, H + 2), cols), (rows, slice(0, W))]
     ok = valid.copy()
-    for _, v in neighbors:
-        ok &= v
-
+    for nb in neighbors:
+        ok &= padded_valid[nb]
+    # depth-weighted offsets to each neighbor
+    arms = [np.exp(-0.5 * np.abs(padded_depth[nb] - depth))[..., None] * (padded[nb] - grid)
+            for nb in neighbors]
     total = np.zeros_like(grid)
     for i in range(4):
-        ga, _ = neighbors[i]
-        gb, _ = neighbors[(i + 1) % 4]
-        wa = np.exp(-0.5 * np.abs(np.linalg.norm(ga, axis=2) - depth))
-        wb = np.exp(-0.5 * np.abs(np.linalg.norm(gb, axis=2) - depth))
-        total += np.cross(wa[..., None] * (ga - grid), wb[..., None] * (gb - grid))
+        total += np.cross(arms[i], arms[(i + 1) % 4])
 
     norms = np.linalg.norm(total, axis=2)
     ok &= norms > 1e-12

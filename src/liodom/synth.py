@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, apply_to_normal, rotation_angle
+from .geometry import Pose, apply_to_normal, apply_to_point, rotation_angle
 from .preprocess import PreprocessedCloud
 from .range_image import ProjectionConfig, pixel_coordinates
 
@@ -106,7 +106,7 @@ def scan_from_pose(scene: SyntheticScene, sensor_pose: Pose,
                    fov: ProjectionConfig | None = None) -> SyntheticScene:
     """Express the scene in the sensor frame; optionally crop to the FOV window."""
     inv = sensor_pose.inverse()
-    pts = scene.points @ inv.rotation.T + inv.t
+    pts = apply_to_point(inv, scene.points)
     nrm = apply_to_normal(inv, scene.normals)
     lab = scene.labels
     if fov is not None:

@@ -15,8 +15,7 @@ from liodom.evaluation import kitti_relative_errors
 from liodom.geometry import Pose, compose, rotation_angle
 from liodom.matching import (CorrespondenceSet, KdIndex, LossWeights,
                              build_index, loss_at_pose, loss_gradient,
-                             match_nearest, plane_to_plane_loss,
-                             point_to_plane_loss, total_loss)
+                             loss_terms, match_nearest)
 from liodom.nn import (Adam, AttentionHead, FcActivationHead, LSTM, Linear,
                        ResBlock, StepLR, gradcheck, load_checkpoint,
                        save_checkpoint)
@@ -46,11 +45,12 @@ def _cloud(points, normals):
                              met_target=True, side_length=0.3, passes=0)
 
 
-def _single(src_p, src_n, tgt_p, tgt_n):
-    return CorrespondenceSet(
-        src_points=np.array([src_p], float), src_normals=np.array([src_n], float),
-        tgt_points=np.array([tgt_p], float), tgt_normals=np.array([tgt_n], float),
-        distances=np.zeros(1), src_index=np.zeros(1, dtype=np.int64))
+def _matches(src_p, src_n, tgt_p, tgt_n):
+    """(source cloud, match set) pairing row i of the sources with row i of the targets."""
+    source = _cloud(np.atleast_2d(src_p), np.atleast_2d(src_n))
+    corr = CorrespondenceSet(np.arange(len(source)), np.atleast_2d(tgt_p).astype(float),
+                             np.atleast_2d(tgt_n).astype(float))
+    return source, corr
 
 
 def _pose_error(est: Pose, true: Pose):
@@ -110,17 +110,15 @@ def test_criterion_2_loss_values(capfd):
     nrm = rng.standard_normal((60, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     same = _cloud(pts, nrm)
-    zero = total_loss(match_nearest(same, build_index(same)))
-    po = point_to_plane_loss(_single((0.3, 0.4, 0.5), (0, 0, 1),
-                                     (0, 0, 0), (0, 0, 1)))
-    pl = plane_to_plane_loss(_single((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0)))
-    combined = CorrespondenceSet(
-        src_points=np.array([[0.3, 0.4, 0.5], [100.0, 100.0, 100.0]]),
-        src_normals=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-        tgt_points=np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]]),
-        tgt_normals=np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-        distances=np.zeros(2), src_index=np.arange(2))
-    tot = total_loss(combined, LossWeights(alpha=1.0, lam=0.1))
+    identity = np.zeros(6)
+    zero = loss_at_pose(identity, same, match_nearest(same, build_index(same)))
+    po, _ = loss_terms(identity, *_matches((0.3, 0.4, 0.5), (0, 0, 1), (0, 0, 0), (0, 0, 1)))
+    _, pl = loss_terms(identity, *_matches((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0)))
+    combined = _matches([(0.3, 0.4, 0.5), (100.0, 100.0, 100.0)],
+                        [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
+                        [(0.0, 0.0, 0.0), (100.0, 100.0, 100.0)],
+                        [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
+    tot = loss_at_pose(identity, *combined, LossWeights(alpha=1.0, lam=0.1))
     ok = zero < 1e-9 and po == 0.5 and pl == 2.0 and abs(tot - 0.7) < 1e-15
     report(capfd, 2, ok,
            f"identity loss {zero:.1e} (< 1e-9), hand values "

@@ -145,6 +145,13 @@ class TestCliRoundTrip:
 SHORT_WALK = ["--set", "voxel.max_iterations=5"]
 
 
+def test_train_warns_on_missed_voxel_targets(tmp_path, capsys):
+    data = _synth(tmp_path, frames=2)
+    assert main(["train", "--data", str(data), "--output-dir", str(tmp_path / "run"),
+                 "--set", "train.epochs=1"] + TINY_FLAGS + SHORT_WALK) == 0
+    assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def lam0_run(tmp_path_factory):
     """A two-scan sequence and a one-epoch checkpoint trained with lam=0."""

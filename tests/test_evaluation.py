@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liodom.evaluation import (SEGMENT_LENGTHS, accumulate,
                                kitti_relative_errors, trajectory_deltas)
@@ -106,15 +107,21 @@ def test_length_mismatch_rejected():
         kitti_relative_errors(_straight_line(5), _straight_line(6))
 
 
-def test_accumulate_inverts_deltas():
-    rng = np.random.default_rng(2)
-    absolute = _random_trajectory(rng, n=20)
-    deltas = trajectory_deltas(absolute)
-    rebuilt = accumulate(deltas)
+# Angles within 0.4 rad keep every pose and every relative pose (rotation
+# angle < 1.4 rad) away from the Euler singularity at |pitch| = pi/2.
+_poses = st.builds(Pose, st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+                   st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_poses, min_size=1, max_size=20))
+def test_accumulate_inverts_deltas(absolute):
+    # accumulate(deltas) is the trajectory re-anchored at its first pose
+    rebuilt = accumulate(trajectory_deltas(absolute))
+    assert len(rebuilt) == len(absolute)
+    origin = np.linalg.inv(absolute[0].matrix)
     for a, b in zip(absolute, rebuilt):
-        np.testing.assert_allclose(
-            (compose(absolute[0], compose(absolute[0].inverse(), a))).matrix,
-            compose(absolute[0], b).matrix, atol=1e-9)
+        np.testing.assert_allclose(b.matrix, origin @ a.matrix, atol=1e-9)
 
 
 def test_csv_and_table_render():

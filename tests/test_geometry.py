@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liodom.geometry import (Pose, apply_to_normal, apply_to_point, compose,
-                             euler_to_matrix, matrix_to_euler, point_jacobian,
-                             rotation_angle, rotation_derivatives)
+                             euler_to_matrix, matrix_to_euler, rotation_angle,
+                             rotation_derivatives)
 
 angles = st.floats(-1.4, 1.4, allow_nan=False)
 coords = st.floats(-50.0, 50.0, allow_nan=False)
@@ -88,22 +88,6 @@ def test_rotation_derivatives_match_finite_differences():
         dq[axis] = eps
         fd = (euler_to_matrix(q + dq) - euler_to_matrix(q - dq)) / (2 * eps)
         np.testing.assert_allclose(derivs[axis], fd, atol=1e-6)
-
-
-def test_point_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p = rng.uniform(-1.0, 1.0, 6)
-        v = rng.uniform(-10.0, 10.0, 3)
-        J = point_jacobian(p, v)
-        assert J.shape == (3, 6)
-        eps = 1e-7
-        for k in range(6):
-            dp = np.zeros(6)
-            dp[k] = eps
-            fp = apply_to_point(Pose.from_vector(p + dp), v)
-            fm = apply_to_point(Pose.from_vector(p - dp), v)
-            np.testing.assert_allclose(J[:, k], (fp - fm) / (2 * eps), atol=1e-6)
 
 
 def test_rotation_angle():

@@ -4,9 +4,8 @@ import pytest
 from liodom.geometry import Pose, euler_to_matrix
 from liodom.matching import (CorrespondenceSet, EmptyMatchError, KdIndex,
                              LossWeights, build_index, loss_at_pose,
-                             loss_gradient, match_nearest,
-                             plane_to_plane_loss, point_to_plane_loss,
-                             residual_values, residuals, total_loss)
+                             loss_gradient, loss_terms, match_nearest,
+                             residual_values, residuals)
 from liodom.pipeline import FramePair, pixel_correspondences
 from liodom.preprocess import PreprocessedCloud
 from liodom.range_image import ProjectionConfig, compute_normal_map, project
@@ -21,11 +20,17 @@ def _cloud(points, normals=None):
                              met_target=True, side_length=0.3, passes=0)
 
 
-def _single(src_p, src_n, tgt_p, tgt_n):
-    return CorrespondenceSet(
-        src_points=np.array([src_p], float), src_normals=np.array([src_n], float),
-        tgt_points=np.array([tgt_p], float), tgt_normals=np.array([tgt_n], float),
-        distances=np.zeros(1), src_index=np.zeros(1, dtype=np.int64))
+def _matches(src_p, src_n, tgt_p, tgt_n):
+    """(source cloud, match set) pairing row i of the sources with row i of the targets."""
+    source = _cloud(np.atleast_2d(src_p), np.atleast_2d(src_n))
+    corr = CorrespondenceSet(np.arange(len(source)), np.atleast_2d(tgt_p).astype(float),
+                             np.atleast_2d(tgt_n).astype(float))
+    return source, corr
+
+
+def _terms(*match):
+    """(point-to-plane, plane-to-plane) of hand-placed matches, at the identity."""
+    return loss_terms(np.zeros(6), *_matches(*match))
 
 
 class TestKdTreeExactness:
@@ -52,48 +57,42 @@ class TestLossValues:
         rng = np.random.default_rng(5)
         c = _cloud(rng.uniform(-5, 5, (50, 3)))
         corr = match_nearest(c, build_index(c))
-        assert total_loss(corr) < 1e-9
+        assert loss_at_pose(np.zeros(6), c, corr) < 1e-9
 
     def test_point_to_plane_hand_value(self):
-        corr = _single((0.3, 0.4, 0.5), (0, 0, 1), (0, 0, 0), (0, 0, 1))
-        assert point_to_plane_loss(corr) == 0.5
+        assert _terms((0.3, 0.4, 0.5), (0, 0, 1), (0, 0, 0), (0, 0, 1))[0] == 0.5
 
     def test_plane_to_plane_hand_value(self):
-        corr = _single((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0))
-        assert plane_to_plane_loss(corr) == 2.0
+        assert _terms((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0))[1] == 2.0
 
     def test_combined_hand_value(self):
-        corr = _single((0.3, 0.4, 0.5), (1, 0, 0), (0, 0, 0), (0, 1, 0))
+        terms = _terms((0.3, 0.4, 0.5), (1, 0, 0), (0, 0, 0), (0, 1, 0))
         # residual: |(0,1,0).(0.3,0.4,0.5)| = 0.4; normals: |(1,0,0)-(0,1,0)|^2 = 2
-        assert total_loss(corr, LossWeights(alpha=1.0, lam=0.1)) == pytest.approx(0.6)
+        assert LossWeights(alpha=1.0, lam=0.1).combine(terms) == pytest.approx(0.6)
 
     def test_combined_default_weighting(self):
-        p = _single((0.3, 0.4, 0.5), (0, 0, 1), (0, 0, 0), (0, 0, 1))
-        n = _single((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0))
-        combined = CorrespondenceSet(
-            src_points=np.vstack([p.src_points[0], n.src_points[0] + 100.0])[None].reshape(2, 3),
-            src_normals=np.vstack([p.src_normals, n.src_normals]),
-            tgt_points=np.vstack([p.tgt_points[0], n.tgt_points[0] + 100.0]).reshape(2, 3),
-            tgt_normals=np.vstack([p.tgt_normals, n.tgt_normals]),
-            distances=np.zeros(2), src_index=np.arange(2))
+        # the first match is the point-to-plane case, the second the
+        # plane-to-plane case moved 100 m away
+        source, corr = _matches([(0.3, 0.4, 0.5), (100.0, 100.0, 100.0)],
+                                [(0, 0, 1), (1, 0, 0)],
+                                [(0, 0, 0), (100.0, 100.0, 100.0)],
+                                [(0, 0, 1), (0, 1, 0)])
         # 0.5 + 0.0 point-to-plane, 0 + 2 plane-to-plane, 1.0*0.5 + 0.1*2 = 0.7
-        assert total_loss(combined) == pytest.approx(0.7)
+        assert loss_at_pose(np.zeros(6), source, corr) == pytest.approx(0.7)
 
     def test_residual_orthogonal_to_normal_is_free(self):
-        corr = _single((0.3, 0.4, 0.0), (0, 0, 1), (0, 0, 0), (0, 0, 1))
-        assert point_to_plane_loss(corr) == 0.0
+        assert _terms((0.3, 0.4, 0.0), (0, 0, 1), (0, 0, 0), (0, 0, 1))[0] == 0.0
 
     def test_flipped_normal_costs_four(self):
-        corr = _single((0, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, -1))
-        assert plane_to_plane_loss(corr) == pytest.approx(4.0)
+        assert _terms((0, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, -1))[1] == pytest.approx(4.0)
 
     def test_empty_set_raises(self):
-        empty = CorrespondenceSet(*(np.empty((0, 3)),) * 4,
-                                  distances=np.empty(0), src_index=np.empty(0, int))
+        empty = CorrespondenceSet(np.empty(0, int), np.empty((0, 3)), np.empty((0, 3)))
+        source = _cloud(np.zeros((1, 3)))
         with pytest.raises(EmptyMatchError):
-            point_to_plane_loss(empty)
+            loss_terms(np.zeros(6), source, empty)
         with pytest.raises(EmptyMatchError):
-            plane_to_plane_loss(empty)
+            loss_at_pose(np.zeros(6), source, empty)
 
 
 class TestMatchNearest:
@@ -142,8 +141,8 @@ class TestMatchPixel:
         motion = Pose(q=[0.0, 0.0, 0.03], t=[0.25, 0.05, 0.0])
         s_last = scan_from_pose(scene, Pose.identity())
         s_cur = scan_from_pose(scene, motion)
-        _, pix = pixel_correspondences(_map_pair(s_last.points, s_cur.points, cfg),
-                                       Pose.identity(), cfg)
+        pix_source, pix = pixel_correspondences(_map_pair(s_last.points, s_cur.points, cfg),
+                                                Pose.identity(), cfg)
 
         # ground truth: the true correspondence maps cur through the motion
         moved = s_cur.points @ motion.rotation.T + motion.t
@@ -157,8 +156,8 @@ class TestMatchPixel:
             # motion, lands within 5 cm of its assigned target
             return float(np.mean(np.linalg.norm(sp - tp, axis=1) < 0.05))
 
-        near_correct = correct_fraction(near.src_points, near.tgt_points)
-        pix_moved = pix.src_points @ motion.rotation.T + motion.t
+        near_correct = correct_fraction(moved[near.src_index], near.tgt_points)
+        pix_moved = pix_source.points[pix.src_index] @ motion.rotation.T + motion.t
         pix_correct = correct_fraction(pix_moved, pix.tgt_points)
         assert near_correct * len(near) > pix_correct * len(pix)
 
@@ -190,21 +189,21 @@ class TestLossGradient:
                       - loss_at_pose(p - dp, src, corr, w)) / (2 * eps)
                 assert abs(g[k] - fd) < 1e-5 * max(1.0, abs(fd))
 
-    def test_loss_at_pose_matches_total_loss_oracle(self):
-        # the kernel's residuals against total_loss on the matches moved by hand
+    def test_loss_at_pose_matches_hand_moved_oracle(self):
+        # the kernel's loss against the loss formula on matches moved by hand
         src, corr = self._setup()
         rng = np.random.default_rng(2)
         for _ in range(5):
             p = rng.uniform(-0.1, 0.1, 6)
             w = LossWeights(alpha=rng.uniform(0, 2), lam=rng.uniform(0, 2))
             R = euler_to_matrix(p[:3])
-            moved = CorrespondenceSet(
-                src_points=src.points[corr.src_index] @ R.T + p[3:],
-                src_normals=src.normals[corr.src_index] @ R.T,
-                tgt_points=corr.tgt_points, tgt_normals=corr.tgt_normals,
-                distances=corr.distances, src_index=corr.src_index)
+            sp = src.points[corr.src_index] @ R.T + p[3:]
+            sn = src.normals[corr.src_index] @ R.T
+            po2pl = np.abs(np.einsum("mi,mi->m", corr.tgt_normals, sp - corr.tgt_points)).sum()
+            diff = sn - corr.tgt_normals
+            pl2pl = np.einsum("mi,mi->", diff, diff)
             assert loss_at_pose(p, src, corr, w) == pytest.approx(
-                total_loss(moved, w), rel=1e-12, abs=1e-12)
+                w.alpha * po2pl + w.lam * pl2pl, rel=1e-12, abs=1e-12)
 
     def test_residual_values_are_the_kernel_residuals(self):
         src, corr = self._setup()

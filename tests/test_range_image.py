@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liodom.geometry import Pose
 from liodom.range_image import (NormalMap, ProjectionConfig, compute_normal_map,
@@ -108,14 +109,23 @@ def test_normals_are_unit_length():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def test_remap_identity_is_reprojection():
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 1.0),
+       yaw=st.floats(-0.5, 0.5), offset=st.floats(2.0, 30.0))
+def test_remap_identity_is_reprojection(seed, keep, yaw, offset):
+    # a plane scan with random radial noise and a random share of holes
     cfg = ProjectionConfig(f_w=30.0, f_h=15.0, eta_w=1.0, eta_h=1.0, H=30, W=60)
-    vmap = project(_dense_plane_scan([1.0, 0.1, 0.0], 7.0, cfg), cfg)
+    rng = np.random.default_rng(seed)
+    pts = _dense_plane_scan([np.cos(yaw), np.sin(yaw), 0.1], offset, cfg)
+    pts = pts * rng.uniform(0.9, 1.1, (len(pts), 1))
+    vmap = project(pts[rng.random(len(pts)) < keep], cfg)
     nmap = compute_normal_map(vmap)
     v2, n2 = remap(vmap, nmap, Pose.identity(), cfg)
-    np.testing.assert_allclose(v2.grid, vmap.grid, atol=1e-12)
-    # normal validity can only shrink: remap carries normals where they existed
-    assert (n2.valid & ~nmap.valid).sum() == 0
+    np.testing.assert_array_equal(v2.valid, vmap.valid)
+    np.testing.assert_array_equal(v2.grid, vmap.grid)
+    # every vertex keeps its pixel, so every normal stays where it was
+    np.testing.assert_array_equal(n2.valid, nmap.valid)
+    np.testing.assert_array_equal(n2.grid, nmap.grid)
 
 
 def test_remap_moves_points_by_pose():
