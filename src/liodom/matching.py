@@ -55,13 +55,17 @@ class CorrespondenceSet:
 
 
 class KdIndex:
-    """Exact nearest-neighbor index over a target cloud."""
+    """Exact nearest-neighbor index over a target cloud.
+
+    The tree splits at sliding midpoints (Maneewongvatana & Mount, 1999),
+    which builds and queries faster on scan clouds than median splits.
+    """
 
     def __init__(self, cloud: PreprocessedCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
         self.cloud = cloud
-        self._tree = cKDTree(cloud.points)
+        self._tree = cKDTree(cloud.points, balanced_tree=False)
 
     def query(self, points: np.ndarray):
         """(distances, target indices) of the exact nearest neighbors."""

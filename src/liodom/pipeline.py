@@ -282,6 +282,10 @@ def composed_pose_gradients(p_delta: np.ndarray, p_hat: np.ndarray,
     return grad_delta, grad_hat
 
 
+class NonFinitePairError(ArithmeticError):
+    """A training pair's predicted pose, loss or pose gradient is not finite."""
+
+
 @dataclass
 class EpochStats:
     mean_loss: float
@@ -293,14 +297,23 @@ class EpochStats:
 
 
 def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
-    """Forward + backward for one pair; gradients accumulate on the model."""
+    """Forward + backward for one pair; gradients accumulate on the model.
+
+    Raises NonFinitePairError, before any backward, if the predicted pose,
+    the loss or a pose gradient is not finite.
+    """
     pose, diag = estimate_pair(fp, model, cfg)
+    if not np.isfinite(pose.as_vector()).all():
+        raise NonFinitePairError("predicted pose is not finite")
     source, corr, terms = pair_loss(fp, pose, cfg)
     diag.matches = len(corr)
     diag.loss = cfg.weights.combine(terms)
     p_delta = diag.residual.as_vector()
     p_hat = diag.initial.as_vector()
     grad_delta, grad_hat = composed_pose_gradients(p_delta, p_hat, source, corr, cfg.weights)
+    if not (np.isfinite(diag.loss) and np.isfinite(grad_delta).all()
+            and np.isfinite(grad_hat).all()):
+        raise NonFinitePairError("loss or pose gradient is not finite")
     model.backward(grad_delta, grad_hat)
     return diag.loss, terms, diag
 
@@ -308,7 +321,11 @@ def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
 def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
                 cfg: PipelineConfig, epoch: int = 0,
                 scheduler: StepLR | None = None) -> EpochStats:
-    """One pass over the dataset in batches; Adam step per batch."""
+    """One pass over the dataset in batches; Adam step per batch.
+
+    Pairs without matches or with a non-finite pose, loss or gradient are
+    skipped and counted in `pairs_skipped`.
+    """
     if scheduler is not None:
         scheduler.set_epoch(epoch)
     model.set_training(True)
@@ -322,7 +339,7 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
         for fp in batch:
             try:
                 loss, terms, _ = train_step(fp, model, cfg)
-            except EmptyMatchError:
+            except (EmptyMatchError, NonFinitePairError):
                 skipped += 1
                 continue
             losses.append(loss)

@@ -20,6 +20,7 @@ RANSAC_THRESHOLD = 0.1       # m, point-to-plane distance of a ground inlier
 RANSAC_ITERATIONS = 100      # plane hypotheses drawn
 MIN_INLIER_FRACTION = 0.2    # inlier share below which there is no ground
 RANSAC_BLOCK = 16            # plane hypotheses scored by one matmul
+CLOSED_FORM_MIN_GAP = 1e-3   # relative eigenvalue gap below which plane-fit uses eigh
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,63 @@ class PreprocessedCloud:
         return len(self.points)
 
 
+def _smallest_eigenvectors(cov: np.ndarray):
+    """Smallest-eigenvalue eigenvectors of symmetric PSD 3x3 matrices.
+
+    Closed form (Kopp, "Efficient numerical diagonalization of hermitian 3x3
+    matrices", 2008): trigonometric eigenvalues, then the largest cross
+    product of two rows of A - l0 I. Its angle error grows like 1e-16 / gap**2
+    in the relative gap (l1 - l0) / l2, so `eigh` takes the rows with a gap
+    of at most CLOSED_FORM_MIN_GAP, a largest diagonal entry of at most
+    1e-30 or a non-finite result. These include every row that the rank rule
+    below can reject, so the closed-form rows are valid under it and `valid`
+    is `eigh`'s rule. Returns (unit vectors up to sign, valid).
+    """
+    scale = np.maximum(np.maximum(cov[:, 0, 0], cov[:, 1, 1]), cov[:, 2, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The six entries, scaled into [-1, 1] so no power below overflows.
+        a00, a11, a22, a01, a02, a12 = (cov[:, i, j] / scale for i, j in
+                                        ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+        m = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - m, a11 - m, a22 - m
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+               + a02 * (a01 * a12 - b11 * a02))
+        phi = np.arccos(np.clip(det / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
+        l0 = m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        l2 = m + 2.0 * p * np.cos(phi)
+        gap = 2.0 * np.sqrt(3.0) * p * np.sin(phi)   # l1 - l0
+        # Cross products of rows of A - l0 I are the columns of its adjugate.
+        d0, d1, d2 = a00 - l0, a11 - l0, a22 - l0
+        c00, c11, c22 = d1 * d2 - a12 * a12, d0 * d2 - a02 * a02, d0 * d1 - a01 * a01
+        c01, c02, c12 = a02 * a12 - a01 * d2, a01 * a12 - a02 * d1, a01 * a02 - d0 * a12
+        adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(-1, 3, 3)
+        sq = np.einsum("nij,nij->ni", adj, adj)
+        best = np.argmax(sq, axis=1)
+        rows = np.arange(len(cov))
+        vectors = adj[rows, best] / np.sqrt(sq[rows, best])[:, None]
+    fallback = ~((gap > CLOSED_FORM_MIN_GAP * l2) & (scale > 1e-30)
+                 & np.isfinite(vectors).all(axis=1))
+    valid = np.ones(len(cov), dtype=bool)
+    if fallback.any():
+        eigvals, eigvecs = np.linalg.eigh(cov[fallback])
+        vectors[fallback] = eigvecs[:, :, 0]
+        # rank >= 2: the mid eigenvalue must not vanish relative to the largest
+        valid[fallback] = eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+    return vectors, valid
+
+
+def _neighbourhoods(points: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each point's k nearest neighbours and itself, (N, k+1).
+
+    Exact; the tree splits at sliding midpoints, which builds faster than
+    median splits on scan clouds.
+    """
+    _, nbr = cKDTree(points, balanced_tree=False).query(points, k=k + 1)
+    return nbr
+
+
 def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K):
     """Per-point normals from PCA over k nearest neighbors.
 
@@ -60,15 +118,11 @@ def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K):
     n = len(points)
     if k < 3 or n <= k:
         raise ValueError(f"need more than k={k} >= 3 points, got {n}")
-    tree = cKDTree(points)
-    _, nbr = tree.query(points, k=k + 1)
-    neigh = points[nbr]                      # (N, k+1, 3)
+    neigh = points[_neighbourhoods(points, k)]   # (N, k+1, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    normals = eigvecs[:, :, 0]
-    # rank >= 2: the mid eigenvalue must not vanish relative to the largest
-    valid = eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+    cov = centered.transpose(0, 2, 1) @ centered
+    cov /= k + 1
+    normals, valid = _smallest_eigenvectors(cov)
     flip = np.einsum("ni,ni->n", normals, points) > 0
     normals[flip] *= -1.0
     normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-30)
@@ -224,7 +278,11 @@ def preprocess_cloud(points: np.ndarray, params: VoxelParams) -> PreprocessedClo
     """Full loss-side pipeline: plane-fit normals, ground removal, downsample.
 
     Normals and ground removal run with this module's default settings.
+    Scan rows with a non-finite coordinate are dropped first, as projection
+    drops them from the range image.
     """
+    points = np.asarray(points, dtype=float)
+    points = points[np.isfinite(points).all(axis=1)]
     normals, valid = estimate_normals_planefit(points)
     pts, nrm = ransac_ground_removal(points[valid], normals[valid])
     return adaptive_voxel_downsample(pts, nrm, params)

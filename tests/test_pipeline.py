@@ -221,6 +221,19 @@ class TestTraining:
             stats.mean_po2pl * cfg.weights.alpha
             + stats.mean_pl2pl * cfg.weights.lam, rel=1e-9)
 
+    @pytest.mark.parametrize("imu_mode", ["initial-pose", "feature-concat"])
+    def test_non_finite_pair_skipped_before_backward(self, imu_mode):
+        cfg = _tiny_cfg(imu_mode=imu_mode)
+        pairs, _ = _pairs(cfg, n_frames=4)
+        pairs[1].imu[5, 4] = np.nan
+        model = OdometryModel(cfg)
+        opt = Adam(model.parameters(), lr=cfg.train.learning_rate)
+        stats = train_epoch(pairs, model, opt, cfg)
+        assert (stats.pairs_used, stats.pairs_skipped) == (2, 1)
+        assert np.isfinite(stats.mean_loss)
+        for name, value in model.state_arrays().items():
+            assert np.isfinite(value).all(), name
+
     def test_scheduler_applied_per_epoch(self):
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg)

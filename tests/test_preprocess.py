@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liodom.preprocess import (RANSAC_BLOCK, VoxelParams,
+from liodom.preprocess import (RANSAC_BLOCK, VoxelParams, _neighbourhoods,
+                               _smallest_eigenvectors,
                                adaptive_voxel_downsample,
                                estimate_normals_planefit, preprocess_cloud,
                                ransac_ground_removal)
@@ -47,6 +48,105 @@ class TestPlanefitNormals:
         normals, valid = estimate_normals_planefit(pts)
         np.testing.assert_allclose(np.linalg.norm(normals[valid], axis=1), 1.0,
                                    atol=1e-12)
+
+
+def _eigh_oracle(cov):
+    """Smallest eigenvectors and the rank rule, straight from eigh."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return eigvecs[:, :, 0], eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+
+
+def _angles(n0, n1):
+    # |n0 x n1| resolves angles down to 1e-16; arccos(|n0 . n1|) stops near 2e-8.
+    return np.linalg.norm(np.cross(n0, n1), axis=1)
+
+
+def _reference_planefit(points, k):
+    """Brute-force k-NN, einsum covariance and eigh, oriented like the module."""
+    d = np.linalg.norm(points[:, None] - points[None], axis=2)
+    neigh = points[np.argsort(d, axis=1, kind="stable")[:, :k + 1]]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    normals, valid = _eigh_oracle(np.einsum("nki,nkj->nij", centered, centered) / (k + 1))
+    normals[np.einsum("ni,ni->n", normals, points) > 0] *= -1.0
+    return normals, valid
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _planefit_case(kind, rng):
+    """(points, k) for one oracle neighbourhood kind."""
+    if kind == "exact-plane":
+        return _plane_points(rng, [0.3, -0.5, 0.8], 6.0, n=300, extent=3.0), 10
+    if kind == "noisy-plane":
+        return _plane_points(rng, [1.0, 0.2, 0.1], 4.0, n=300, extent=3.0, sigma=0.02), 10
+    if kind == "offset-1e3":
+        pts = _plane_points(rng, [0.2, 0.9, 0.1], 0.0, n=300, extent=2.0, sigma=0.01)
+        return pts + np.array([1e3, -1e3, 1e3]), 10
+    if kind == "collinear":
+        t = rng.uniform(-5.0, 5.0, 200)
+        return np.array([2.0, 1.0, -1.0]) + t[:, None] * np.array([0.6, 0.0, 0.8]), 10
+    if kind == "all-equal":
+        return np.tile([3.0, -2.0, 1.0], (50, 1)), 10
+    # Six points, each the others' neighbours, with eigenvalues l0 ~ l1 < l2:
+    # "near-isotropic-<d>" stretches the l1 axis by 1 + d, so the relative gap
+    # l1 - l0 over l2 is about d; d = 1e-9 and 2e-6 take eigh, 1e-2 does not.
+    d = float(kind.removeprefix("near-isotropic-"))
+    axes = np.diag([1.0, 1.0 + d, 1.5])
+    return (np.vstack([axes, -axes]) @ _random_rotation(rng).T) + np.array([4.0, 1.0, 2.0]), 5
+
+
+PLANEFIT_CASES = ["exact-plane", "noisy-plane", "offset-1e3", "collinear", "all-equal",
+                  "near-isotropic-1e-9", "near-isotropic-2e-6", "near-isotropic-1e-2"]
+
+
+class TestPlanefitMatchesEighOracle:
+    @pytest.mark.parametrize("kind", PLANEFIT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_valid_mask_and_normals(self, kind, seed):
+        points, k = _planefit_case(kind, np.random.default_rng(seed))
+        normals, valid = estimate_normals_planefit(points, k=k)
+        want_normals, want_valid = _reference_planefit(points, k)
+        np.testing.assert_array_equal(valid, want_valid)
+        if kind in ("collinear", "all-equal"):
+            assert not valid.any()
+        else:
+            assert valid.all()
+        assert _angles(normals[valid], want_normals[valid]).max(initial=0.0) <= 1e-7
+        # same orientation rule: never a flipped normal
+        assert (np.einsum("ni,ni->n", normals, want_normals)[valid] > 0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_neighbourhoods_are_exact_knn(self, seed):
+        rng = np.random.default_rng(seed)
+        # snapped coordinates make many equal distances; compare distances,
+        # which ties cannot reorder
+        points = np.round(rng.uniform(-3.0, 3.0, (400, 3)), 1)
+        k = 10
+        nbr = _neighbourhoods(points, k)
+        got = np.sort(np.linalg.norm(points[nbr] - points[:, None], axis=2), axis=1)
+        brute = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)
+        np.testing.assert_array_equal(got, brute[:, :k + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       rank=st.integers(0, 3), log_scale=st.floats(-12.0, 6.0))
+@example(entries=[1.0] * 9, rank=1, log_scale=0.0)
+@example(entries=[0.0] * 9, rank=3, log_scale=0.0)
+@example(entries=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], rank=3, log_scale=-12.0)
+def test_closed_form_eigenvector_matches_eigh(entries, rank, log_scale):
+    """Random symmetric PSD matrices X^T X, some rank-deficient, scaled 1e-12..1e6."""
+    x = np.array(entries).reshape(3, 3)
+    x[rank:] = 0.0
+    cov = (x.T @ x * 10.0 ** log_scale)[None]
+    vectors, valid = _smallest_eigenvectors(cov.copy())
+    want_vectors, want_valid = _eigh_oracle(cov)
+    np.testing.assert_array_equal(valid, want_valid)
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=1e-12)
+    assert _angles(vectors[valid], want_vectors[valid]).max(initial=0.0) <= 1e-7
 
 
 class TestRansacGround:
@@ -294,3 +394,17 @@ def test_preprocess_cloud_end_to_end():
     # ground is gone: nothing near z = -1.5 with an upward normal
     low = cloud.points[:, 2] < -1.2
     assert low.mean() < 0.05
+
+
+def test_preprocess_cloud_drops_non_finite_rows():
+    rng = np.random.default_rng(9)
+    clean = np.vstack([_plane_points(rng, [0.0, 0.0, 1.0], -1.5, n=2000, extent=10.0, sigma=0.01),
+                       _plane_points(rng, [1.0, 0.2, 0.0], 7.0, n=1500, extent=2.5, sigma=0.01)])
+    dirty = np.insert(clean, [100, 2500], [[np.nan, 1.0, 2.0], [3.0, np.inf, 0.0]], axis=0)
+    params = VoxelParams(target=512, tolerance=100)
+    want = preprocess_cloud(clean, params)
+    got = preprocess_cloud(dirty, params)
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.normals, want.normals)
+    assert (got.side_length, got.passes, got.met_target) == (
+        want.side_length, want.passes, want.met_target)
