@@ -108,10 +108,18 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _warn_missed_targets(clouds):
+    missed = sum(not cloud.met_target for cloud in clouds)
+    if missed:
+        print(f"warning: {missed} of {len(clouds)} clouds missed the voxel target",
+              file=sys.stderr)
+
+
 def cmd_register(args) -> int:
     cfg = _config_from_args(args)
     source = _load_cloud(args.source, cfg)
     target = _load_cloud(args.target, cfg)
+    _warn_missed_targets([source, target])
     opts = RegistrationOptions(max_match_dist=cfg.max_match_dist, weights=cfg.weights)
     pose, diag = register(source, target, opts=opts)
     print("pose (roll pitch yaw tx ty tz):",
@@ -163,11 +171,7 @@ def _load_sequence(data_dir: Path, cfg):
         record_times = np.loadtxt(data_dir / "oxts_times.txt")
         imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
     pairs = build_frame_pairs(points, cfg, imu_windows=imu_windows)
-    clouds = [fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs]
-    missed = sum(not cloud.met_target for cloud in clouds)
-    if missed:
-        print(f"warning: {missed} of {len(clouds)} clouds missed the voxel target",
-              file=sys.stderr)
+    _warn_missed_targets([fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs])
     return pairs
 
 

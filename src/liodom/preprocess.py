@@ -230,13 +230,22 @@ def _voxel_reduce(points, normals, inverse, n_voxels):
 
 
 def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> PreprocessedCloud:
-    """Voxel-grid downsample, adapting the side length toward the target count.
+    """Voxel-grid downsample, searching the side length for the target count.
 
     The voxel representative is the arithmetic mean of member points; voxel
     normals are averaged and renormalized. Each pass counts the occupied
-    voxels at the current side length, which then moves by one step: up when
-    there are too many voxels, down when too few. If the budget runs out the
-    closest-achieved result is returned with met_target = False.
+    voxels at one side length. The search first brackets the window: from
+    `side_length` it moves up while there are too many voxels and down while
+    there are too few, by `step` and then by a step that doubles on each
+    move. Once one side gave too many voxels and another too few, it bisects
+    between the last two such sides, so the bracket holds even where the
+    count is not monotone in the side. It stops at the first count within
+    `target +/- tolerance`. Sides stay at or above the finest one whose keys
+    fit an int64. The search also stops when the budget runs out or when
+    its next side was already counted: the bracket has shrunk to adjacent
+    floats, or the cloud has too few voxels even at the finest side (it has
+    fewer distinct points than the window asks for). Then the closest-achieved
+    side is used and met_target is False.
     """
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -247,31 +256,43 @@ def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> Preproces
     if len(points) < lo:
         return PreprocessedCloud(points.copy(), normals.copy(), met_target=False,
                                  side_length=params.side_length, passes=0)
-    # Only the voxel count steers the walk; the points are binned once, at
-    # the accepted side or, if the budget runs out, at the closest one.
+    # Only the voxel count steers the search. The points are binned once, at
+    # the side whose count came closest to the target: the accepted side, as
+    # every earlier count was outside the window, or the closest on a miss.
     bounds = ((points.min(axis=0), points.max(axis=0)) if len(points)
               else (np.zeros(3), np.zeros(3)))
-    side = params.side_length
-    best_side = side
-    best_gap = None
-    for passes in range(1, params.max_iterations + 1):
+    # |key| <= 2**61 keeps every key and key span within int64.
+    min_side = max(float(np.abs(bounds).max()) * 2.0**-61, np.finfo(float).tiny)
+    side = max(params.side_length, min_side)
+    step = params.step
+    fine = coarse = None      # last sides with too many / too few voxels
+    best_side, best_gap = side, None
+    passes = 0
+    while passes < params.max_iterations:
+        passes += 1
         n_voxels = _voxel_count(points, side, bounds)
         gap = abs(n_voxels - params.target)
         if best_gap is None or gap < best_gap:
-            best_gap = gap
-            best_side = side
+            best_gap, best_side = gap, side
         if lo <= n_voxels <= hi:
             break
         if n_voxels > hi:
-            side += params.step
+            fine = side
         else:
-            side = side - params.step if side - params.step > 1e-6 else side / 2.0
-    else:
-        side, passes = best_side, params.max_iterations
-    inverse, n_voxels = _voxel_bin(points, side, bounds)
+            coarse = side
+        if fine is not None and coarse is not None:
+            side = 0.5 * (fine + coarse)
+        elif coarse is None:
+            side += step
+        else:
+            side = max(side - step, 0.5 * side, min_side)
+        step *= 2.0
+        if side in (fine, coarse):
+            break
+    inverse, n_voxels = _voxel_bin(points, best_side, bounds)
     out_p, out_n = _voxel_reduce(points, normals, inverse, n_voxels)
     return PreprocessedCloud(out_p, out_n, met_target=lo <= n_voxels <= hi,
-                             side_length=side, passes=passes)
+                             side_length=best_side, passes=passes)
 
 
 def preprocess_cloud(points: np.ndarray, params: VoxelParams) -> PreprocessedCloud:

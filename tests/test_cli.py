@@ -152,6 +152,23 @@ def test_train_warns_on_missed_voxel_targets(tmp_path, capsys):
     assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
 
 
+def test_register_warns_on_missed_voxel_targets(tmp_path, capsys):
+    data = _synth(tmp_path, frames=2)
+    scan0, scan1 = (str(data / "velodyne" / f"{i:06d}.bin") for i in range(2))
+    missed = str(tmp_path / "c0.npz")
+    assert main(["preprocess", "--input", scan0, "--output", missed]
+                + TINY_FLAGS + SHORT_WALK) == 0
+    capsys.readouterr()
+    # a raw scan preprocessed on load, against a stored cloud that missed
+    assert main(["register", "--source", scan1, "--target", missed]
+                + TINY_FLAGS + SHORT_WALK) == 0
+    assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
+    assert main(["register", "--source", scan1, "--target", missed] + TINY_FLAGS) == 0
+    assert "warning: 1 of 2 clouds missed the voxel target" in capsys.readouterr().err
+    assert main(["register", "--source", scan1, "--target", scan0] + TINY_FLAGS) == 0
+    assert "voxel target" not in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def lam0_run(tmp_path_factory):
     """A two-scan sequence and a one-epoch checkpoint trained with lam=0."""

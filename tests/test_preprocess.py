@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from liodom import preprocess
 from liodom.preprocess import (RANSAC_BLOCK, VoxelParams, _neighbourhoods,
                                _smallest_eigenvectors,
                                adaptive_voxel_downsample,
@@ -249,8 +250,15 @@ class TestRansacMatchesPerHypothesisLoop:
 
 
 def _reference_voxel_walk(points, normals, params):
-    """The voxel walk binned with a row-wise unique at every pass.
+    """The bracket-then-bisect search binned with a row-wise unique at every pass.
 
+    From `side_length`, the side grows while there are too many voxels and
+    shrinks (at most halving, never below the finest side whose keys fit an
+    int64) while there are too few, by `step` doubled on each move. Once one
+    side gave too many and another too few, the next side is the midpoint of
+    the last two such sides. The search ends at the first count in the
+    window, when the budget runs out, or when the next side is one of those
+    two sides; a miss bins at the first side closest to the target.
     Returns (points, normals, side_length, passes, met_target).
     """
     lo = params.target - params.tolerance
@@ -271,23 +279,29 @@ def _reference_voxel_walk(points, normals, params):
         out_n[degenerate] = np.array([0.0, 0.0, 1.0])
         return out_p, out_n
 
-    side = params.side_length
-    best = None
+    min_side = max(np.abs(points).max(initial=0.0) * 2.0**-61, np.finfo(float).tiny)
+    side = max(params.side_length, min_side)
+    step = params.step
+    too_many, too_few, tried = [], [], []
     for it in range(1, params.max_iterations + 1):
         keys = np.floor(points / side).astype(np.int64)
         unique, inverse = np.unique(keys, axis=0, return_inverse=True)
         n_voxels = len(unique)
-        gap = abs(n_voxels - params.target)
-        if best is None or gap < best[0]:
-            best = (gap, inverse, n_voxels, side)
         if lo <= n_voxels <= hi:
             return (*binned(inverse, n_voxels), side, it, True)
-        if n_voxels > hi:
-            side += params.step
+        tried.append((abs(n_voxels - params.target), it, side, inverse, n_voxels))
+        (too_many if n_voxels > hi else too_few).append(side)
+        if too_many and too_few:
+            side = (too_many[-1] + too_few[-1]) / 2.0
+        elif too_many:
+            side = side + step
         else:
-            side = side - params.step if side - params.step > 1e-6 else side / 2.0
-    _, inverse, n_voxels, side = best
-    return (*binned(inverse, n_voxels), side, params.max_iterations, False)
+            side = max(side - step, side / 2.0, min_side)
+        step *= 2.0
+        if side in too_many[-1:] + too_few[-1:]:
+            break
+    _, _, side, inverse, n_voxels = min(tried, key=lambda t: t[:2])
+    return (*binned(inverse, n_voxels), side, len(tried), False)
 
 
 class TestAdaptiveVoxel:
@@ -353,6 +367,58 @@ class TestAdaptiveVoxel:
         means = np.stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)], axis=1)
         np.testing.assert_array_equal(cloud.points, means / np.bincount(inverse)[:, None])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_few_distinct_points_ends_before_keys_overflow(self):
+        # 300 points on a 1 m grid, 261 of them distinct: no side reaches
+        # 290 +/- 5 voxels, so the search shrinks the side until it stops.
+        # Sides below ~5e-18 m would overflow the int64 keys of these
+        # coordinates (a RuntimeWarning from the cast, then garbage counts).
+        grid = np.stack(np.unravel_index(np.arange(261), (7, 7, 7)), axis=1) - 3.0
+        pts = np.vstack([grid, grid[:39]]) + np.array([12.0, -40.0, 3.0])
+        nrm = np.tile([0.0, 0.0, 1.0], (300, 1))
+        params = VoxelParams(side_length=1e-12, target=290, tolerance=5, max_iterations=40)
+        cloud = adaptive_voxel_downsample(pts, nrm, params)
+        assert not cloud.met_target
+        assert cloud.passes < params.max_iterations
+        assert cloud.side_length == 1e-12      # every side gave 261: the first is kept
+        np.testing.assert_array_equal(cloud.points, np.unique(pts, axis=0))
+
+    def test_bisection_keeps_its_bracket_where_count_is_not_monotone(self, monkeypatch):
+        # An axis-aligned 12 x 12 x 4 lattice 11 m from the origin: floor
+        # binning makes its voxel count jump up and down with the side.
+        pts = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), np.arange(4.0),
+                                   indexing="ij"), axis=-1).reshape(-1, 3) + 11.0
+        nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+        params = VoxelParams(side_length=0.3, step=0.01, target=482, tolerance=2,
+                             max_iterations=40)
+        trace = []
+        count = preprocess._voxel_count
+
+        def recording_count(points, side, bounds):
+            trace.append((side, count(points, side, bounds)))
+            return trace[-1][1]
+
+        monkeypatch.setattr(preprocess, "_voxel_count", recording_count)
+        cloud = adaptive_voxel_downsample(pts, nrm, params)
+        assert cloud.met_target and abs(len(cloud) - 482) <= 2
+        assert (cloud.side_length, cloud.passes) == (trace[-1][0], len(trace))
+        fine = coarse = None
+        bisected = []
+        for side, n in trace:
+            if fine is not None and coarse is not None:
+                # a bisection side lies strictly inside the current bracket
+                assert min(fine, coarse) < side < max(fine, coarse)
+                bisected.append((side, n))
+            if n > 482 + 2:
+                fine = side
+            else:
+                coarse = side
+        # within the bracket a finer side gave fewer voxels than a coarser one
+        assert any(s0 < s1 and n0 < n1 for s0, n0 in bisected for s1, n1 in bisected)
+        want = _reference_voxel_walk(pts, nrm, params)
+        np.testing.assert_array_equal(cloud.points, want[0])
+        assert (cloud.side_length, cloud.passes, cloud.met_target) == want[2:]
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400),
@@ -366,6 +432,8 @@ class TestAdaptiveVoxel:
          target=20, tolerance=30, max_iterations=5)      # empty cloud, walked
 @example(seed=1, n=300, offset=-20.0, extent=8.0, grid=None, side=1e-12,
          step=0.01, target=300, tolerance=10, max_iterations=3)   # packing fallback
+@example(seed=1, n=300, offset=-20.0, extent=8.0, grid=1.0, side=1e-12,
+         step=0.01, target=290, tolerance=5, max_iterations=25)  # too few distinct points
 def test_voxel_walk_matches_row_wise_reference(seed, n, offset, extent, grid, side,
                                                step, target, tolerance, max_iterations):
     rng = np.random.default_rng(seed)
