@@ -31,7 +31,7 @@ from .nn import Adam, StepLR, load_checkpoint, save_checkpoint
 from .pipeline import (OdometryModel, build_frame_pairs, run_sequence,
                        train_epoch)
 from .preprocess import preprocess_cloud
-from .registration import RegistrationError, RegistrationOptions, register
+from .registration import RegistrationError, register
 from .synth import corridor_sequence
 
 EXIT_USAGE = 1
@@ -61,6 +61,13 @@ def _config_from_args(args, base: dict | None = None):
     return load_config(path=getattr(args, "config", None),
                        overrides=_parse_overrides(getattr(args, "set", None)),
                        preset=getattr(args, "preset", None), base=base)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_config_flags(p):
@@ -120,12 +127,12 @@ def cmd_register(args) -> int:
     source = _load_cloud(args.source, cfg)
     target = _load_cloud(args.target, cfg)
     _warn_missed_targets([source, target])
-    opts = RegistrationOptions(max_match_dist=cfg.max_match_dist, weights=cfg.weights)
-    pose, diag = register(source, target, opts=opts)
+    pose, diag = register(source, target, max_match_dist=cfg.max_match_dist,
+                          weights=cfg.weights)
     print("pose (roll pitch yaw tx ty tz):",
           " ".join(f"{v:.9f}" for v in pose.as_vector()))
-    print(f"final loss {diag.loss_trace[-1]:.6f} after "
-          f"{diag.outer_iterations} outer iterations")
+    print(f"final loss {diag.loss_trace[-1]:.6f} after {diag.outer_iterations} "
+          f"iterations ({'converged' if diag.converged else 'not converged'})")
     if args.output is not None:
         write_poses(args.output, [pose])
         dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic sequence on disk")
     p.add_argument("--output-dir", type=Path, required=True)
-    p.add_argument("--frames", type=int, default=20)
+    p.add_argument("--frames", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--yaw-rate", type=float, default=0.0)
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimated", type=Path, required=True)
     p.add_argument("--ground-truth", type=Path, required=True)
     p.add_argument("--output", type=Path, default=None, help="CSV report")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-traj", help="lidar-frame poses to camera frame")

@@ -70,6 +70,8 @@ def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentEr
     """
     if len(estimated) != len(ground_truth):
         raise ValueError("trajectories must be frame-aligned and equal length")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     dist = _path_lengths(ground_truth)
     gt = np.stack([p.matrix for p in ground_truth])
     est = np.stack([p.matrix for p in estimated])

@@ -31,7 +31,7 @@ from .matching import (
 from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, Module, StepLR
 from .preprocess import PreprocessedCloud, VoxelParams
 from .range_image import NormalMap, ProjectionConfig, VertexMap, compute_normal_map, project, project_with_indices, remap
-from .registration import RegistrationError, RegistrationOptions, register
+from .registration import RegistrationError, register
 
 IMU_MODES = ("initial-pose", "feature-concat", "none")
 HEAD_MODES = ("two-branch", "merged", "vertex-only")
@@ -410,7 +410,6 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("learned", "hybrid") and model is None:
         raise ValueError(f"mode {mode!r} needs a model")
-    opts = RegistrationOptions(max_match_dist=cfg.max_match_dist, weights=cfg.weights)
     relatives = []
     flags = []
     for fp in pairs:
@@ -422,7 +421,8 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
             flags.append("ok")
             continue
         try:
-            pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init, opts=opts)
+            pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init,
+                               max_match_dist=cfg.max_match_dist, weights=cfg.weights)
             relatives.append(pose)
             flags.append("ok")
         except RegistrationError as exc:

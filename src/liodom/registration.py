@@ -1,11 +1,13 @@
 """Classical frame-to-frame registration by minimizing the unsupervised loss.
 
-Gauss-Newton on the residuals of `matching.residuals`: the point-to-plane
-rows weighted by sqrt(alpha) and the normal rows by sqrt(lambda), so the
-squared cost is the loss with the absolute value replaced by a square. A
-halving line search keeps each step downhill and evaluates only the
-residual values; the absolute-value loss is used only for reporting. Outer
-iterations re-match, inner iterations descend under a fixed matching.
+One ICP loop: each iteration re-matches at the current pose and takes one
+Gauss-Newton step on the residuals of `matching.residuals`, the
+point-to-plane rows weighted by sqrt(alpha) and the normal rows by
+sqrt(lambda), so the squared cost is the loss with the absolute value
+replaced by a square. A halving line search keeps each step downhill and
+evaluates only the residual values; the absolute-value loss is used only for
+reporting. The loop has converged when the norm of the step, the last one
+tried if the line search takes none, falls below TOLERANCE.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from .matching import (
 from .preprocess import PreprocessedCloud
 
 
-MAX_OUTER = 10       # re-matching iterations
-MAX_INNER = 5        # Gauss-Newton steps per matching
-TOLERANCE = 1e-6     # step norm that ends the inner loop
-
-
-@dataclass(frozen=True)
-class RegistrationOptions:
-    max_match_dist: float = 1.0
-    weights: LossWeights = field(default_factory=LossWeights)
+MAX_ITERATIONS = 10  # re-matchings, one Gauss-Newton step each
+TOLERANCE = 1e-4     # step norm (m, rad) that ends the loop as converged
 
 
 @dataclass
@@ -57,7 +52,8 @@ def register(
     source: PreprocessedCloud,
     target: PreprocessedCloud,
     init: Pose = Pose.identity(),
-    opts: RegistrationOptions = RegistrationOptions(),
+    max_match_dist: float = 1.0,
+    weights: LossWeights = LossWeights(),
 ):
     """Estimate the pose aligning source onto target; returns (Pose, diagnostics).
 
@@ -70,7 +66,7 @@ def register(
         raise RegistrationError("non-finite initial pose", Pose.identity())
     index = build_index(target)
     diag = RegistrationDiagnostics()
-    sqrt_alpha, sqrt_lam = np.sqrt(opts.weights.alpha), np.sqrt(opts.weights.lam)
+    sqrt_alpha, sqrt_lam = np.sqrt(weights.alpha), np.sqrt(weights.lam)
 
     def stacked(rows1, rows2):
         """Point-to-plane rows weighted by sqrt(alpha) over normal rows by sqrt(lambda)."""
@@ -83,36 +79,27 @@ def register(
         r = stacked(*residual_values(p, source, corr))
         return float(r @ r)
 
-    for outer in range(MAX_OUTER):
-        diag.outer_iterations = outer + 1
+    for iteration in range(MAX_ITERATIONS):
+        diag.outer_iterations = iteration + 1
         try:
             corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
-                                 index, max_dist=opts.max_match_dist)
+                                 index, max_dist=max_match_dist)
         except EmptyMatchError as exc:
-            if outer == 0:
+            if iteration == 0:
                 raise RegistrationError(str(exc), init) from exc
             break
         diag.match_counts.append(len(corr))
-        moved_outer = False
-        for _ in range(MAX_INNER):
-            r1, J1, r2, J2 = residuals(p, source, corr)
-            r, J = stacked(r1, r2), stacked(J1, J2)
-            A = J.T @ J + 1e-9 * np.eye(6)
-            delta = np.linalg.solve(A, -(J.T @ r))
-            cost_p = float(r @ r)
-            step = 1.0
-            for _ in range(12):
-                if cost(p + step * delta) < cost_p:
-                    break
-                step *= 0.5
-            else:
+        r1, J1, r2, J2 = residuals(p, source, corr)
+        r, J = stacked(r1, r2), stacked(J1, J2)
+        cost_p = float(r @ r)
+        step = np.linalg.solve(J.T @ J + 1e-9 * np.eye(6), -(J.T @ r))
+        for _ in range(12):
+            if cost(p + step) < cost_p:
+                p = p + step
                 break
-            p = p + step * delta
-            moved_outer = True
-            if np.linalg.norm(step * delta) < TOLERANCE:
-                break
-        diag.loss_trace.append(loss_at_pose(p, source, corr, opts.weights))
-        if not moved_outer:
+            step = 0.5 * step
+        diag.loss_trace.append(loss_at_pose(p, source, corr, weights))
+        if np.linalg.norm(step) < TOLERANCE:
             diag.converged = True
             break
     if not np.isfinite(p).all():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -5,7 +7,8 @@ import yaml
 from liodom.cli import main
 from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
-from liodom.dataset_io import read_poses
+from liodom.dataset_io import read_poses, write_poses
+from liodom.geometry import Pose
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -105,6 +108,20 @@ class TestCliRoundTrip:
         pose = read_poses(pose_file)[0]
         # frames are 0.3 m apart along x in the corridor sequence
         assert pose.t[0] == pytest.approx(0.3, abs=0.02)
+
+    def test_register_reports_convergence(self, tmp_path, capsys, monkeypatch):
+        data = _synth(tmp_path, frames=2)
+        argv = ["register", "--source", str(data / "velodyne" / "000001.bin"),
+                "--target", str(data / "velodyne" / "000000.bin")] + TINY_FLAGS
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert re.search(r"^final loss \S+ after [2-9] iterations \(converged\)$",
+                         capsys.readouterr().out, re.MULTILINE)
+        # one iteration moves the pose by about 0.3 m, far above the tolerance
+        monkeypatch.setattr("liodom.registration.MAX_ITERATIONS", 1)
+        assert main(argv) == 0
+        assert re.search(r"^final loss \S+ after 1 iterations \(not converged\)$",
+                         capsys.readouterr().out, re.MULTILINE)
 
     def test_train_infer_eval(self, tmp_path):
         data = _synth(tmp_path)
@@ -241,6 +258,19 @@ class TestExitCodes:
 
     def test_usage_error_on_unknown_flag(self):
         assert main(["preprocess", "--nonsense"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--output-dir", "out", "--frames", "0"],
+        ["eval", "--estimated", "e.txt", "--ground-truth", "g.txt", "--stride", "0"],
+        ["eval", "--estimated", "e.txt", "--ground-truth", "g.txt", "--stride", "-1"],
+    ])
+    def test_usage_error_on_non_positive_count(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        for name in ("e.txt", "g.txt"):
+            write_poses(name, [Pose(t=[float(i), 0.0, 0.0]) for i in range(3)])
+        assert main(argv) == 1
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_data_error_on_missing_file(self, tmp_path):
         assert main(["eval", "--estimated", str(tmp_path / "no.txt"),

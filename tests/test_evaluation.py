@@ -107,6 +107,13 @@ def test_length_mismatch_rejected():
         kitti_relative_errors(_straight_line(5), _straight_line(6))
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_non_positive_stride_rejected(stride):
+    gt = _straight_line(n=300)
+    with pytest.raises(ValueError, match="stride"):
+        kitti_relative_errors(gt, gt, stride=stride)
+
+
 # Angles within 0.4 rad keep every pose and every relative pose (rotation
 # angle < 1.4 rad) away from the Euler singularity at |pitch| = pi/2.
 _poses = st.builds(Pose, st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),

@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from liodom.geometry import Pose, compose, rotation_angle
 from liodom.matching import EmptyMatchError, LossWeights
 from liodom.preprocess import PreprocessedCloud
-from liodom.registration import (RegistrationError, RegistrationOptions,
-                                 register)
+from liodom.registration import RegistrationError, register
 from liodom.synth import random_scene_pair
 
 
@@ -22,6 +23,8 @@ def test_identity_for_identical_clouds():
     t_err, r_err = pose_errors(pose, Pose.identity())
     assert t_err < 1e-9 and r_err < 1e-7
     assert diag.loss_trace[-1] < 1e-6
+    # no step lowers a zero cost: the search shrinks the step below the tolerance
+    assert diag.converged and diag.outer_iterations == 1
 
 
 def test_recovers_known_motion_noiseless():
@@ -61,7 +64,7 @@ def test_disjoint_clouds_raise_with_pose():
     mk = lambda p: PreprocessedCloud(points=p, normals=n.copy(),
                                      met_target=True, side_length=0.3, passes=0)
     with pytest.raises(RegistrationError) as exc:
-        register(mk(far), mk(near), opts=RegistrationOptions(max_match_dist=1.0))
+        register(mk(far), mk(near), max_match_dist=1.0)
     assert isinstance(exc.value.pose, Pose)
 
 
@@ -75,7 +78,30 @@ def test_non_finite_initial_pose_raises_with_identity(bad):
 
 def test_respects_loss_weights():
     source, target, true = random_scene_pair(seed=9)
-    opts = RegistrationOptions(weights=LossWeights(alpha=1.0, lam=0.0))
-    pose, _ = register(source, target, opts=opts)
+    pose, _ = register(source, target, weights=LossWeights(alpha=1.0, lam=0.0))
     t_err, r_err = pose_errors(pose, true)
     assert t_err < 5e-3 and r_err < 0.2
+
+
+# Sparse scenes (density 15), noiseless and noisy: each must converge, and
+# rounding-level changes to the source normals must not move the stop.
+SPARSE_SCENES = [(seed, 0.0) for seed in range(10)] + [(seed + 100, 0.01) for seed in range(10)]
+
+
+@pytest.mark.parametrize("seed, sigma", SPARSE_SCENES)
+def test_converges_on_sparse_scenes(seed, sigma):
+    source, target, _ = random_scene_pair(seed=seed, sigma=sigma, density=15)
+    _, diag = register(source, target)
+    assert diag.converged
+    assert diag.outer_iterations == len(diag.loss_trace) == len(diag.match_counts)
+
+
+@pytest.mark.parametrize("seed, sigma", SPARSE_SCENES)
+def test_stopping_insensitive_to_rounding(seed, sigma):
+    source, target, _ = random_scene_pair(seed=seed, sigma=sigma, density=15)
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + rng.uniform(-1e-14, 1e-14, (len(source.normals), 1))
+    _, diag = register(source, target)
+    _, nudged = register(replace(source, normals=source.normals * scale), target)
+    assert (nudged.outer_iterations, nudged.converged) == (diag.outer_iterations,
+                                                           diag.converged)
