@@ -2,7 +2,7 @@
 
 Spherical-projection preprocessing, unsupervised point-to-plane /
 plane-to-plane registration losses and a Gauss-Newton classical
-registrar built on one residual-and-Jacobian kernel, a small numpy
+registrar built on one residual and normal-equations kernel, a small numpy
 network (siamese IMU LSTMs, residual map encoders, gated attention heads)
 trained without ground-truth poses, and KITTI-style evaluation.
 """

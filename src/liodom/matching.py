@@ -8,10 +8,10 @@ sums absolute projections of match residuals onto target normals; the
 plane-to-plane loss sums squared differences of matched unit normals.
 
 `residual_values` is the one formula for both terms as functions of the
-pose, with the correspondences frozen; `residuals` adds their pose
-Jacobians. The loss, its gradient, Gauss-Newton registration with its
-line search, and the composed-pose gradient of training are all built on
-these two.
+pose, with the correspondences frozen; `residuals` adds J1 and the normal
+equations of the plane-to-plane term from 3x3 moments, never a (3M, 6)
+Jacobian. The loss, its gradient, Gauss-Newton registration with its line
+search, and the composed-pose gradient of training are built on these two.
 """
 
 from __future__ import annotations
@@ -117,24 +117,30 @@ def residual_values(p: np.ndarray, source: PreprocessedCloud, corr: Corresponden
 
 
 def residuals(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
-    """`residual_values` and their pose Jacobians: (r1, J1, r2, J2).
+    """`residual_values` and what their consumers read of the Jacobians.
 
-    J1 is (M, 6) and J2 is (3M, 6). The translation columns of J2 are zero:
-    normals do not move with t. Callers that need only the residuals, such
-    as a line search, use `residual_values` and skip the Jacobians.
+    Returns (r1, J1, r2, H2, g2). J1 is the (M, 6) point-to-plane Jacobian.
+    H2 = J2^T J2 and g2 = J2^T r2 reduce the (3M, 6) plane-to-plane Jacobian
+    J2, never built, to two 3x3 moments of the matched normals n, sum n n^T
+    and sum (R n - n_t) n^T, contracted with the rotation derivatives; their
+    translation parts are zero, as normals do not move with t.
     """
     r1, r2 = residual_values(p, source, corr)
     p = np.asarray(p, dtype=float).reshape(6)
     sp = source.points[corr.src_index]
     sn = source.normals[corr.src_index]
     nt = corr.tgt_normals
+    dR = np.stack(rotation_derivatives(p[:3]))
     J1 = np.empty((len(nt), 6))
-    J2 = np.zeros((r2.size, 6))
-    for i, dR in enumerate(rotation_derivatives(p[:3])):
-        J1[:, i] = np.einsum("mi,mi->m", nt, sp @ dR.T)
-        J2[:, i] = (sn @ dR.T).ravel()
+    for i in range(3):
+        J1[:, i] = np.einsum("mi,mi->m", nt, sp @ dR[i].T)
     J1[:, 3:] = nt
-    return r1, J1, r2, J2
+    # Frobenius products <dR_i, dR_j sum n n^T> and <dR_i, sum (R n - n_t) n^T>
+    D = dR.reshape(3, 9)
+    H2, g2 = np.zeros((6, 6)), np.zeros(6)
+    H2[:3, :3] = D @ (dR @ (sn.T @ sn)).reshape(3, 9).T
+    g2[:3] = D @ (r2.reshape(-1, 3).T @ sn).ravel()
+    return r1, J1, r2, H2, g2
 
 
 def loss_terms(p: np.ndarray, source: PreprocessedCloud, corr: CorrespondenceSet):
@@ -171,5 +177,5 @@ def loss_gradient(
     The absolute value in the point-to-plane term uses subgradient 0 at
     exactly-zero residuals.
     """
-    r1, J1, r2, J2 = residuals(p, source, corr)
-    return weights.alpha * (np.sign(r1) @ J1) + 2.0 * weights.lam * (r2 @ J2)
+    r1, J1, _, _, g2 = residuals(p, source, corr)
+    return weights.alpha * (np.sign(r1) @ J1) + 2.0 * weights.lam * g2

@@ -37,12 +37,6 @@ class ProjectionConfig:
         """Upper bound +3 deg, span 26 deg, covering the HDL-64E window."""
         return cls(f_h=3.0)
 
-    @classmethod
-    def scaled(cls, H: int, W: int, f_h: float = 23.0) -> "ProjectionConfig":
-        """Desk-scale grid with the same 360 degree horizontal sweep."""
-        eta_w = 360.0 / W
-        return cls(f_w=180.0, f_h=f_h, eta_w=eta_w, eta_h=eta_w, H=H, W=W)
-
 
 @dataclass
 class VertexMap:

@@ -1,13 +1,15 @@
 """Classical frame-to-frame registration by minimizing the unsupervised loss.
 
 One ICP loop: each iteration re-matches at the current pose and takes one
-Gauss-Newton step on the residuals of `matching.residuals`, the
-point-to-plane rows weighted by sqrt(alpha) and the normal rows by
-sqrt(lambda), so the squared cost is the loss with the absolute value
-replaced by a square. A halving line search keeps each step downhill and
-evaluates only the residual values; the absolute-value loss is used only for
-reporting. The loop has converged when the norm of the step, the last one
-tried if the line search takes none, falls below TOLERANCE.
+Gauss-Newton step on the 6x6 normal equations of `matching.residuals`, the
+point-to-plane block weighted by alpha and the plane-to-plane block by
+lambda, so the squared cost is the loss with the absolute value replaced by
+a square. A halving line search keeps each step downhill and evaluates only
+the residual values; the absolute-value loss is used only for reporting.
+The loop has converged when the norm of the step, the last one tried if
+the line search takes none, falls below TOLERANCE. A matching that cannot
+fix a pose, empty or with fewer pairs than the pose's POSE_DOF degrees of
+freedom, raises RegistrationError at any iteration.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .preprocess import PreprocessedCloud
 
 MAX_ITERATIONS = 10  # re-matchings, one Gauss-Newton step each
 TOLERANCE = 1e-4     # step norm (m, rad) that ends the loop as converged
+POSE_DOF = 6         # fewer matches than this cannot fix a pose
 
 
 @dataclass
@@ -58,26 +61,19 @@ def register(
     """Estimate the pose aligning source onto target; returns (Pose, diagnostics).
 
     Raises RegistrationError, whose .pose is the pose to fall back to: the
-    identity when `init` is not finite, `init` when the first matching is
-    empty or the result is not finite.
+    identity when `init` is not finite, `init` when any matching is empty
+    or has fewer than POSE_DOF pairs, or when the result is not finite.
     """
     p = init.as_vector()
     if not np.isfinite(p).all():
         raise RegistrationError("non-finite initial pose", Pose.identity())
     index = build_index(target)
     diag = RegistrationDiagnostics()
-    sqrt_alpha, sqrt_lam = np.sqrt(weights.alpha), np.sqrt(weights.lam)
+    alpha, lam = weights.alpha, weights.lam
 
-    def stacked(rows1, rows2):
-        """Point-to-plane rows weighted by sqrt(alpha) over normal rows by sqrt(lambda)."""
-        if sqrt_lam > 0:
-            return np.concatenate([sqrt_alpha * rows1, sqrt_lam * rows2])
-        return sqrt_alpha * rows1
-
-    def cost(p):
-        """Squared weighted residual under the current matches, no Jacobian."""
-        r = stacked(*residual_values(p, source, corr))
-        return float(r @ r)
+    def cost(r1, r2):
+        """The loss with its absolute value replaced by a square."""
+        return float(alpha * (r1 @ r1) + lam * (r2 @ r2))
 
     for iteration in range(MAX_ITERATIONS):
         diag.outer_iterations = iteration + 1
@@ -85,16 +81,17 @@ def register(
             corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
                                  index, max_dist=max_match_dist)
         except EmptyMatchError as exc:
-            if iteration == 0:
-                raise RegistrationError(str(exc), init) from exc
-            break
+            raise RegistrationError(str(exc), init) from exc
+        if len(corr) < POSE_DOF:
+            raise RegistrationError(f"{len(corr)} matches cannot fix the pose's "
+                                    f"{POSE_DOF} degrees of freedom", init)
         diag.match_counts.append(len(corr))
-        r1, J1, r2, J2 = residuals(p, source, corr)
-        r, J = stacked(r1, r2), stacked(J1, J2)
-        cost_p = float(r @ r)
-        step = np.linalg.solve(J.T @ J + 1e-9 * np.eye(6), -(J.T @ r))
+        r1, J1, r2, H2, g2 = residuals(p, source, corr)
+        cost_p = cost(r1, r2)
+        step = np.linalg.solve(alpha * (J1.T @ J1) + lam * H2 + 1e-9 * np.eye(6),
+                               -(alpha * (J1.T @ r1) + lam * g2))
         for _ in range(12):
-            if cost(p + step) < cost_p:
+            if cost(*residual_values(p + step, source, corr)) < cost_p:
                 p = p + step
                 break
             step = 0.5 * step

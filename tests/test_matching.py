@@ -211,9 +211,29 @@ class TestLossGradient:
         for _ in range(5):
             p = rng.uniform(-0.5, 0.5, 6)
             r1, r2 = residual_values(p, src, corr)
-            want = residuals(p, src, corr)[0::2]
-            np.testing.assert_array_equal(r1, want[0])
-            np.testing.assert_array_equal(r2, want[1])
+            k1, _, k2, _, _ = residuals(p, src, corr)
+            np.testing.assert_array_equal(r1, k1)
+            np.testing.assert_array_equal(r2, k2)
+
+    def test_kernel_against_finite_difference_jacobians(self):
+        # J1 and J2 built column by column from central differences of the
+        # residuals; the kernel's J1, H2 = J2^T J2 and g2 = J2^T r2 must match
+        src, corr = self._setup()
+        rng = np.random.default_rng(4)
+        eps = 1e-6
+        for _ in range(5):
+            p = rng.uniform(-0.5, 0.5, 6)
+            r1, J1, r2, H2, g2 = residuals(p, src, corr)
+            fd1, fd2 = np.empty((len(r1), 6)), np.empty((len(r2), 6))
+            for k in range(6):
+                dp = np.zeros(6)
+                dp[k] = eps
+                (a1, a2), (b1, b2) = (residual_values(p + dp, src, corr),
+                                      residual_values(p - dp, src, corr))
+                fd1[:, k], fd2[:, k] = (a1 - b1) / (2 * eps), (a2 - b2) / (2 * eps)
+            np.testing.assert_allclose(J1, fd1, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(H2, fd2.T @ fd2, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(g2, fd2.T @ r2, rtol=1e-6, atol=1e-7)
 
     def test_zero_residual_subgradient(self):
         # exactly overlapping pair: the absolute value kink contributes 0

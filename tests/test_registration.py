@@ -5,9 +5,9 @@ import pytest
 
 from liodom.geometry import Pose, compose, rotation_angle
 from liodom.matching import EmptyMatchError, LossWeights
-from liodom.preprocess import PreprocessedCloud
+from liodom.preprocess import PreprocessedCloud, VoxelParams, preprocess_cloud
 from liodom.registration import RegistrationError, register
-from liodom.synth import random_scene_pair
+from liodom.synth import corridor_sequence, random_scene_pair
 
 
 def pose_errors(estimated: Pose, true: Pose):
@@ -66,6 +66,21 @@ def test_disjoint_clouds_raise_with_pose():
     with pytest.raises(RegistrationError) as exc:
         register(mk(far), mk(near), max_match_dist=1.0)
     assert isinstance(exc.value.pose, Pose)
+
+
+# A coarse corridor pair whose re-matchings shrink after the first step:
+# at 0.05 m the second matching is empty, at 0.1 m they go 113, 22, 2, ...
+# Neither may end in a pose reported as a result.
+@pytest.mark.parametrize("max_match_dist, message", [(0.05, "no matches"),
+                                                     (0.1, "2 matches cannot fix")])
+def test_later_matching_too_small_raises_with_init(max_match_dist, message):
+    scans = corridor_sequence(n_frames=2, seed=0).scans
+    c0, c1 = (preprocess_cloud(s.points, VoxelParams(side_length=0.5, target=256))
+              for s in scans)
+    init = Pose.identity()
+    with pytest.raises(RegistrationError, match=message) as exc:
+        register(c1, c0, init=init, max_match_dist=max_match_dist)
+    assert exc.value.pose is init
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
