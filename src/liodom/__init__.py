@@ -14,6 +14,6 @@ from .matching import CorrespondenceSet, EmptyMatchError, KdIndex, LossWeights, 
 from .registration import register
 from .pipeline import FramePair, OdometryModel, PipelineConfig, TrainParams, build_frame_pairs, estimate_pair, run_sequence, train_epoch
 from .evaluation import SegmentErrorReport, accumulate, kitti_relative_errors
-from .dataset_io import FormatError, read_oxts, read_poses, read_velodyne_bin, window_imu, write_poses, write_velodyne_bin
+from .dataset_io import FormatError, read_oxts, read_poses, read_velodyne_bin, window_imu, write_oxts, write_poses, write_velodyne_bin
 
 __version__ = "0.1.0"

@@ -23,14 +23,17 @@ from .config import (ABLATION_PRESETS, ConfigError, config_to_dict,
                      dump_config, load_config)
 from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                          read_oxts, read_poses, read_velodyne_bin, window_imu,
-                         write_poses, write_velodyne_bin)
+                         write_oxts, write_poses, write_velodyne_bin)
 from .evaluation import kitti_relative_errors
 from .geometry import Pose
-from .matching import EmptyMatchError
-from .nn import Adam, StepLR, load_checkpoint, save_checkpoint
-from .pipeline import (OdometryModel, build_frame_pairs, run_sequence,
-                       train_epoch)
-from .preprocess import preprocess_cloud
+from .matching import (CorrespondenceSet, EmptyMatchError, LossWeights,
+                       loss_at_pose, loss_gradient, transformed_cloud)
+from .nn import (Adam, AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
+                 Linear, LSTM, MapEncoder, Module, ResBlock, StepLR, gradcheck,
+                 load_checkpoint, save_checkpoint)
+from .pipeline import (OdometryModel, build_frame_pairs, composed_pose_gradients,
+                       run_sequence, train_epoch)
+from .preprocess import PreprocessedCloud, preprocess_cloud
 from .registration import RegistrationError, register
 from .synth import corridor_sequence
 
@@ -87,8 +90,6 @@ def _load_scan_points(path: Path) -> np.ndarray:
 
 def _load_cloud(path: Path, cfg):
     """A loss-side cloud from either a preprocessed .npz or a raw scan."""
-    from .preprocess import PreprocessedCloud
-
     if path.suffix == ".npz":
         with np.load(path) as z:
             if "normals" in z:
@@ -146,16 +147,10 @@ def cmd_synth(args) -> int:
                             speed=args.speed)
     out = Path(args.output_dir)
     (out / "velodyne").mkdir(parents=True, exist_ok=True)
-    (out / "oxts").mkdir(exist_ok=True)
     for i, scan in enumerate(seq.scans):
         pts = np.concatenate([scan.points, np.zeros((len(scan.points), 1))], axis=1)
         write_velodyne_bin(out / "velodyne" / f"{i:06d}.bin", pts)
-    for i, rec in enumerate(seq.dense_records):
-        fields = np.zeros(25)
-        fields[11:14] = rec[0:3]
-        fields[17:20] = rec[3:6]
-        (out / "oxts" / f"{i:06d}.txt").write_text(
-            " ".join(f"{v:.9e}" for v in fields) + "\n")
+    write_oxts(out / "oxts", seq.dense_records)
     np.savetxt(out / "oxts_times.txt", seq.dense_times, fmt="%.9f")
     np.savetxt(out / "times.txt", seq.times, fmt="%.9f")
     write_poses(out / "poses.txt", seq.poses)
@@ -264,34 +259,52 @@ def cmd_export_traj(args) -> int:
     return 0
 
 
+def gradient_suite(rng: np.random.Generator) -> dict[str, float]:
+    """Worst relative error against central differences, by name, of every
+    trainable block and of the two pose gradients that training feeds into
+    the network: `loss_gradient` and both factors of `composed_pose_gradients`.
+    """
+    def check(module, x, *fwd_bwd):
+        return gradcheck(module, x, rng, *fwd_bwd)
+
+    def check_pose(loss, grad, p):
+        # gradcheck's scalar is g * loss for a random g, so its gradient is g * grad
+        return gradcheck(Module(), p, rng, lambda _, q: loss(q), lambda _, g: g * grad(p),
+                         n_checks=p.size, eps=1e-7, wrt_input=True)
+
+    worst = {
+        "linear": check(Linear(7, 5, rng), rng.standard_normal((4, 7))),
+        "attention-head": check(AttentionHead(6, rng), rng.standard_normal((3, 6))),
+        "fc-head": check(FcActivationHead(6, rng), rng.standard_normal((3, 6))),
+        "lstm": check(LSTM(4, 5, rng), rng.standard_normal((2, 6, 4)),
+                      lambda m, x: m(x)[0], lambda m, g: m.backward(grad_hs=g)),
+        "conv2d": check(Conv2d(3, 4, rng=rng), rng.standard_normal((2, 3, 6, 6))),
+        "channel-norm": check(ChannelNorm(3), rng.standard_normal((2, 3, 5, 5))),
+        "resblock": check(ResBlock(3, 5, stride=2, rng=rng), rng.standard_normal((1, 3, 8, 8))),
+        "map-encoder": check(MapEncoder((4, 6, 8), 10, rng=rng), rng.standard_normal((1, 6, 8, 16))),
+    }
+    # 40 points matched to noisy copies of themselves, under non-default weights
+    pts, nrm = rng.uniform(-4, 4, (40, 3)), rng.standard_normal((40, 3))
+    source = PreprocessedCloud(pts, nrm / np.linalg.norm(nrm, axis=1, keepdims=True))
+    corr = CorrespondenceSet(np.arange(40), pts + rng.normal(0, 0.05, (40, 3)), source.normals)
+    w = LossWeights(alpha=0.7, lam=1.3)
+    worst["pose-loss"] = check_pose(lambda p: loss_at_pose(p, source, corr, w),
+                                    lambda p: loss_gradient(p, source, corr, w),
+                                    rng.uniform(-0.1, 0.1, 6))
+    # (p_delta, p_hat): the loss of the source moved by p_hat, then by p_delta
+    worst["composed-pose"] = check_pose(
+        lambda p: loss_at_pose(p[:6], transformed_cloud(source, Pose.from_vector(p[6:])), corr, w),
+        lambda p: np.concatenate(composed_pose_gradients(p[:6], p[6:], source, corr, w)),
+        rng.uniform(-0.1, 0.1, 12))
+    return worst
+
+
 def cmd_gradcheck(args) -> int:
-    """Finite-difference checks on every trainable block."""
-    from .nn import (AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
-                     Linear, LSTM, MapEncoder, gradcheck)
-
-    rng = np.random.default_rng(args.seed)
-
-    def check(name, module, x, fwd=None, bwd=None):
-        worst = gradcheck(module, x, rng, fwd, bwd, n_checks=4)
-        status = "ok" if worst < 1e-4 else "FAIL"
-        print(f"{name:18s} max rel err {worst:.3e}  {status}")
-        return worst < 1e-4
-
-    ok = True
-    ok &= check("linear", Linear(7, 5, rng), rng.standard_normal((4, 7)))
-    ok &= check("attention-head", AttentionHead(6, rng), rng.standard_normal((3, 6)))
-    ok &= check("fc-head", FcActivationHead(6, rng), rng.standard_normal((3, 6)))
-    ok &= check("lstm", LSTM(4, 5, rng), rng.standard_normal((2, 6, 4)),
-                fwd=lambda m, x: m(x)[0],
-                bwd=lambda m, g: m.backward(grad_hs=g))
-    ok &= check("conv2d", Conv2d(3, 4, rng=rng), rng.standard_normal((2, 3, 6, 6)))
-    norm = ChannelNorm(3)
-    norm.training = False
-    ok &= check("channel-norm", norm, rng.standard_normal((2, 3, 5, 5)))
-    enc = MapEncoder((4, 6, 8), 10, rng=rng)
-    enc.set_training(False)
-    ok &= check("map-encoder", enc, rng.standard_normal((1, 6, 8, 16)))
-    return 0 if ok else EXIT_NUMERICAL
+    """Prints `gradient_suite`, one line per entry; exits 3 if any reaches 1e-4."""
+    worst = gradient_suite(np.random.default_rng(args.seed))
+    for name, err in worst.items():
+        print(f"{name:18s} max rel err {err:.3e}  {'ok' if err < 1e-4 else 'FAIL'}")
+    return 0 if all(err < 1e-4 for err in worst.values()) else EXIT_NUMERICAL
 
 
 # -- parser ------------------------------------------------------------------

@@ -59,6 +59,18 @@ def read_oxts(directory) -> np.ndarray:
     return out
 
 
+def write_oxts(directory, records: np.ndarray):
+    """The inverse of `read_oxts`, to ten significant digits: row i goes to
+    <i:06d>.txt as 25 fields, zero outside fields 11-13 and 17-19."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, rec in enumerate(np.asarray(records, dtype=float)):
+        fields = np.zeros(25)
+        fields[11:14] = rec[0:3]
+        fields[17:20] = rec[3:6]
+        (directory / f"{i:06d}.txt").write_text(" ".join(f"{v:.9e}" for v in fields) + "\n")
+
+
 def window_imu(records: np.ndarray, record_times: np.ndarray,
                scan_times: np.ndarray, S: int = 15) -> list[np.ndarray]:
     """One (S, 6) window per consecutive scan pair.

@@ -32,11 +32,6 @@ class ProjectionConfig:
         if self.H <= 0 or self.W <= 0:
             raise ValueError("grid dimensions must be positive")
 
-    @classmethod
-    def kitti(cls) -> "ProjectionConfig":
-        """Upper bound +3 deg, span 26 deg, covering the HDL-64E window."""
-        return cls(f_h=3.0)
-
 
 @dataclass
 class VertexMap:

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from liodom.cli import gradient_suite
 from liodom.evaluation import kitti_relative_errors
 from liodom.geometry import Pose, compose, rotation_angle
 from liodom.matching import (CorrespondenceSet, KdIndex, LossWeights,
-                             build_index, loss_at_pose, loss_gradient,
-                             loss_terms, match_nearest)
-from liodom.nn import (Adam, AttentionHead, FcActivationHead, LSTM, Linear,
-                       ResBlock, StepLR, gradcheck, load_checkpoint,
-                       save_checkpoint)
+                             build_index, loss_at_pose, loss_terms,
+                             match_nearest)
+from liodom.nn import Adam, StepLR, load_checkpoint, save_checkpoint
 from liodom.pipeline import (OdometryModel, PipelineConfig, TrainParams,
                              build_frame_pairs, estimate_pair, train_epoch)
 from liodom.preprocess import (PreprocessedCloud, VoxelParams,
@@ -60,41 +59,10 @@ def _pose_error(est: Pose, true: Pose):
 
 # -- criterion 1: gradient suite ---------------------------------------------
 
-def _loss_gradcheck(rng):
-    pts = rng.uniform(-4, 4, (40, 3))
-    nrm = rng.standard_normal((40, 3))
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    src = _cloud(pts, nrm)
-    tgt = _cloud(pts + rng.normal(0, 0.05, (40, 3)), nrm)
-    corr = match_nearest(src, build_index(tgt))
-    p = rng.uniform(-0.1, 0.1, 6)
-    g = loss_gradient(p, src, corr)
-    worst = 0.0
-    eps = 1e-7
-    for k in range(6):
-        d = np.zeros(6)
-        d[k] = eps
-        fd = (loss_at_pose(p + d, src, corr)
-              - loss_at_pose(p - d, src, corr)) / (2 * eps)
-        worst = max(worst, abs(g[k] - fd) / max(1.0, abs(fd)))
-    return worst
-
-
 def test_criterion_1_gradient_suite(capfd):
     t0 = time.time()
-    worst = 0.0
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        worst = max(worst, gradcheck(Linear(6, 4, rng), rng.standard_normal((3, 6)), rng))
-        worst = max(worst, gradcheck(
-            LSTM(3, 4, rng), rng.standard_normal((2, 5, 3)), rng,
-            lambda m, a: m(a)[0], lambda m, g: m.backward(grad_hs=g)))
-        worst = max(worst, gradcheck(
-            ResBlock(3, 5, stride=2, rng=rng), rng.standard_normal((1, 3, 8, 8)), rng,
-            n_checks=3))
-        worst = max(worst, gradcheck(AttentionHead(5, rng), rng.standard_normal((2, 5)), rng))
-        worst = max(worst, gradcheck(FcActivationHead(5, rng), rng.standard_normal((2, 5)), rng))
-        worst = max(worst, _loss_gradcheck(rng))
+    worst = np.max([list(gradient_suite(np.random.default_rng(seed)).values())
+                    for seed in range(10)])
     elapsed = time.time() - t0
     ok = worst < 1e-4 and elapsed < 60.0
     report(capfd, 1, ok,

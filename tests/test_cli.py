@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from liodom import pipeline
 from liodom.cli import main
 from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
@@ -295,6 +296,15 @@ class TestExitCodes:
 
     def test_gradcheck_exits_zero(self):
         assert main(["gradcheck", "--seed", "3"]) == 0
+
+    def test_gradcheck_checks_the_loss_gradient(self, monkeypatch, capsys):
+        loss_gradient = pipeline.loss_gradient
+        monkeypatch.setattr(pipeline, "loss_gradient",
+                            lambda *args: 1.001 * loss_gradient(*args))
+        assert main(["gradcheck"]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^pose-loss .* ok$", out, re.MULTILINE)
+        assert re.search(r"^composed-pose .* FAIL$", out, re.MULTILINE)
 
     def test_infer_learned_without_checkpoint_is_usage_error(self, tmp_path):
         data = _synth(tmp_path, frames=3)

@@ -3,7 +3,8 @@ import pytest
 
 from liodom.dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                                read_oxts, read_poses, read_velodyne_bin,
-                               window_imu, write_poses, write_velodyne_bin)
+                               window_imu, write_oxts, write_poses,
+                               write_velodyne_bin)
 from liodom.geometry import Pose
 
 
@@ -51,6 +52,12 @@ class TestOxts:
         self._write_record(tmp_path / "a.txt", [1.0, 0, 0], [0, 0, 0])
         out = read_oxts(tmp_path)
         assert out[0, 0] == 1.0 and out[1, 0] == 2.0
+
+    def test_write_read_round_trip(self, tmp_path):
+        records = np.random.default_rng(0).normal(0.0, 5.0, (12, 6))
+        write_oxts(tmp_path / "oxts", records)
+        # ten significant digits on disk
+        np.testing.assert_allclose(read_oxts(tmp_path / "oxts"), records, rtol=1e-9, atol=0)
 
     def test_too_few_fields(self, tmp_path):
         (tmp_path / "x.txt").write_text("1 2 3\n")

@@ -6,6 +6,7 @@ from liodom.matching import (CorrespondenceSet, EmptyMatchError, KdIndex,
                              LossWeights, build_index, loss_at_pose,
                              loss_gradient, loss_terms, match_nearest,
                              residual_values, residuals)
+from liodom.nn import central_difference
 from liodom.pipeline import FramePair, pixel_correspondences
 from liodom.preprocess import PreprocessedCloud
 from liodom.range_image import ProjectionConfig, compute_normal_map, project
@@ -181,12 +182,8 @@ class TestLossGradient:
         for _ in range(5):
             p = rng.uniform(-0.1, 0.1, 6)
             g = loss_gradient(p, src, corr, w)
-            eps = 1e-7
             for k in range(6):
-                dp = np.zeros(6)
-                dp[k] = eps
-                fd = (loss_at_pose(p + dp, src, corr, w)
-                      - loss_at_pose(p - dp, src, corr, w)) / (2 * eps)
+                fd, _ = central_difference(lambda: loss_at_pose(p, src, corr, w), p, k, 1e-7)
                 assert abs(g[k] - fd) < 1e-5 * max(1.0, abs(fd))
 
     def test_loss_at_pose_matches_hand_moved_oracle(self):
@@ -220,17 +217,15 @@ class TestLossGradient:
         # residuals; the kernel's J1, H2 = J2^T J2 and g2 = J2^T r2 must match
         src, corr = self._setup()
         rng = np.random.default_rng(4)
-        eps = 1e-6
         for _ in range(5):
             p = rng.uniform(-0.5, 0.5, 6)
             r1, J1, r2, H2, g2 = residuals(p, src, corr)
-            fd1, fd2 = np.empty((len(r1), 6)), np.empty((len(r2), 6))
+            fd = np.empty((len(r1) + len(r2), 6))
             for k in range(6):
-                dp = np.zeros(6)
-                dp[k] = eps
-                (a1, a2), (b1, b2) = (residual_values(p + dp, src, corr),
-                                      residual_values(p - dp, src, corr))
-                fd1[:, k], fd2[:, k] = (a1 - b1) / (2 * eps), (a2 - b2) / (2 * eps)
+                fd[:, k], kink = central_difference(
+                    lambda: np.concatenate(residual_values(p, src, corr)), p, k, 1e-6)
+                assert not kink
+            fd1, fd2 = fd[:len(r1)], fd[len(r1):]
             np.testing.assert_allclose(J1, fd1, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(H2, fd2.T @ fd2, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(g2, fd2.T @ r2, rtol=1e-6, atol=1e-7)

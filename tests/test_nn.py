@@ -68,6 +68,28 @@ def test_conv2d_gradcheck(seed):
     assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
 
 
+def test_gradcheck_that_compares_nothing_fails():
+    # every output of a zero Linear under abs sits on its kink: all elements are skipped
+    rng = np.random.default_rng(0)
+    m = Linear(4, 3, rng)
+    for p in m.parameters().values():
+        p.value[...] = 0.0
+    x = rng.standard_normal((2, 4))
+    assert gradcheck(m, x, rng, lambda mod, a: np.abs(mod(a)),
+                     lambda mod, g: mod.backward(np.sign(mod(x)) * g)) == np.inf
+
+
+def test_gradcheck_reports_a_nan_gradient():
+    rng = np.random.default_rng(0)
+    m = Linear(4, 3, rng)
+
+    def bwd(mod, g):
+        mod.backward(g)
+        mod.weight.grad[0, 0] = np.nan
+
+    assert np.isnan(gradcheck(m, rng.standard_normal((2, 4)), rng, bwd=bwd, n_checks=12))
+
+
 def _direct_conv(x, w, b, stride, pad):
     """Cross-correlation by explicit loops over output pixels: the oracle."""
     B, _, H, W = x.shape

@@ -8,7 +8,7 @@ from liodom import pipeline
 from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
 from liodom.matching import transformed_cloud
-from liodom.nn import Adam, StepLR, gradcheck
+from liodom.nn import Adam, StepLR, central_difference, gradcheck
 from liodom.pipeline import (HEAD_MODES, IMU_MODES, OdometryModel, PipelineConfig,
                              TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
@@ -180,14 +180,10 @@ class TestComposedGradients:
         source, corr, _ = pair_loss(pairs[0], pose, cfg)
         w = cfg.weights
         g_delta, g_hat = composed_pose_gradients(p_delta, p_hat, source, corr, w)
-        eps = 1e-7
+        loss = lambda: self._loss(p_delta, p_hat, source, corr, w)
         for k in range(6):
-            d = np.zeros(6)
-            d[k] = eps
-            fd_d = (self._loss(p_delta + d, p_hat, source, corr, w)
-                    - self._loss(p_delta - d, p_hat, source, corr, w)) / (2 * eps)
-            fd_h = (self._loss(p_delta, p_hat + d, source, corr, w)
-                    - self._loss(p_delta, p_hat - d, source, corr, w)) / (2 * eps)
+            fd_d, _ = central_difference(loss, p_delta, k, 1e-7)
+            fd_h, _ = central_difference(loss, p_hat, k, 1e-7)
             assert abs(g_delta[k] - fd_d) < 1e-5 * max(1.0, abs(fd_d))
             assert abs(g_hat[k] - fd_h) < 1e-5 * max(1.0, abs(fd_h))
 

@@ -15,8 +15,6 @@ def test_config_validation():
         ProjectionConfig(W=700)          # 700 * 0.5 != 360
     with pytest.raises(ValueError):
         ProjectionConfig(H=0)
-    k = ProjectionConfig.kitti()
-    assert k.f_h == 3.0 and k.H == 52 and k.W == 720
 
 
 def test_pixel_coordinates_frozen_values():
