@@ -1,9 +1,13 @@
 """Loss-side point-cloud preparation.
 
-Pipeline: plane-fit normals on the whole cloud, RANSAC ground removal, then
-adaptive voxel-grid downsampling toward a target count. Ground removal and
-voxel binning are decided once on positions and applied to both the point
-and the normal stream, so the two stay index-aligned.
+Pipeline: RANSAC ground removal on positions, plane-fit normals at the kept
+points only (their neighbourhoods still come from the whole cloud), then
+adaptive voxel-grid downsampling toward a target count. RANSAC draws from
+every finite point, also those whose normal would be invalid, and its
+`min_inlier_fraction` counts them too; so the result equals fitting normals
+first and removing ground from the valid-normal points wherever every normal
+is valid. Voxel binning is decided once on positions and applied to both the
+point and the normal stream, so the two stay index-aligned.
 """
 
 from __future__ import annotations
@@ -97,33 +101,38 @@ def _smallest_eigenvectors(cov: np.ndarray):
     return vectors, valid
 
 
-def _neighbourhoods(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each point's k nearest neighbours and itself, (N, k+1).
+def _neighbourhoods(points: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
+    """Indices into `points` of each query's k+1 nearest points, (M, k+1).
 
-    Exact; the tree splits at sliding midpoints, which builds faster than
-    median splits on scan clouds.
+    A query that is one of `points` finds itself first. Exact; the tree
+    splits at sliding midpoints, which builds faster than median splits on
+    scan clouds.
     """
-    _, nbr = cKDTree(points, balanced_tree=False).query(points, k=k + 1)
+    _, nbr = cKDTree(points, balanced_tree=False).query(queries, k=k + 1)
     return nbr
 
 
-def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K):
+def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K, at=None):
     """Per-point normals from PCA over k nearest neighbors.
 
     The normal is the smallest-eigenvalue eigenvector of the neighborhood
     covariance, oriented toward the sensor origin (n . p <= 0). Returns
     (normals, valid); rank-deficient neighborhoods are marked invalid.
+    `at` (row indices, default all rows) picks the points that get a
+    normal; their neighbours are searched among all `points`, so row i of
+    the result is row at[i] of the all-rows result, bit for bit.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if k < 3 or n <= k:
         raise ValueError(f"need more than k={k} >= 3 points, got {n}")
-    neigh = points[_neighbourhoods(points, k)]   # (N, k+1, 3)
+    centres = points if at is None else points[np.asarray(at, dtype=np.intp)]
+    neigh = points[_neighbourhoods(points, k, centres)]   # (M, k+1, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = centered.transpose(0, 2, 1) @ centered
     cov /= k + 1
     normals, valid = _smallest_eigenvectors(cov)
-    flip = np.einsum("ni,ni->n", normals, points) > 0
+    flip = np.einsum("ni,ni->n", normals, centres) > 0
     normals[flip] *= -1.0
     normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-30)
     return normals, valid
@@ -131,22 +140,22 @@ def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K):
 
 def ransac_ground_removal(
     points: np.ndarray,
-    normals: np.ndarray,
     distance_threshold: float = RANSAC_THRESHOLD,
     iterations: int = RANSAC_ITERATIONS,
     min_inlier_fraction: float = MIN_INLIER_FRACTION,
     seed: int = 0,
-):
-    """Remove the dominant plane found by RANSAC from both streams.
+) -> np.ndarray:
+    """Keep mask of the points off the dominant plane found by RANSAC.
 
-    If the best plane's inlier fraction is below `min_inlier_fraction`,
-    there is no dominant ground and the input is returned unchanged.
+    Reads positions only: each hypothesis is a plane through three distinct
+    points drawn from all of `points`. If the best plane's inlier fraction of
+    all `points` is below `min_inlier_fraction`, there is no dominant ground
+    and every point is kept.
     """
     points = np.asarray(points, dtype=float)
-    normals = np.asarray(normals, dtype=float)
     n = len(points)
     if n < 3:
-        return points, normals
+        return np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
     anchors, plane_normals = [], []
     for _ in range(iterations):
@@ -172,9 +181,8 @@ def ransac_ground_removal(
             best_count = int(counts[k])
             best_inliers = inliers[:, k]
     if best_inliers is None or best_count < min_inlier_fraction * n:
-        return points, normals
-    keep = ~best_inliers
-    return points[keep], normals[keep]
+        return np.ones(n, dtype=bool)
+    return ~best_inliers
 
 
 def _voxel_keys(points: np.ndarray, side: float, bounds):
@@ -296,14 +304,20 @@ def adaptive_voxel_downsample(points, normals, params: VoxelParams) -> Preproces
 
 
 def preprocess_cloud(points: np.ndarray, params: VoxelParams) -> PreprocessedCloud:
-    """Full loss-side pipeline: plane-fit normals, ground removal, downsample.
+    """Full loss-side pipeline: ground removal, plane-fit normals, downsample.
 
     Normals and ground removal run with this module's default settings.
     Scan rows with a non-finite coordinate are dropped first, as projection
-    drops them from the range image.
+    drops them from the range image. RANSAC then runs on all finite points,
+    normals are fitted only at the points it keeps, and points with an
+    invalid normal are dropped before voxelising. RANSAC thus also draws
+    points whose normal would be invalid, and its inlier fraction counts
+    them; wherever every normal is valid, the cloud is bit for bit the one
+    that fitting normals first and removing ground from the valid-normal
+    points gives.
     """
     points = np.asarray(points, dtype=float)
     points = points[np.isfinite(points).all(axis=1)]
-    normals, valid = estimate_normals_planefit(points)
-    pts, nrm = ransac_ground_removal(points[valid], normals[valid])
-    return adaptive_voxel_downsample(pts, nrm, params)
+    keep = np.flatnonzero(ransac_ground_removal(points))
+    normals, valid = estimate_normals_planefit(points, at=keep)
+    return adaptive_voxel_downsample(points[keep[valid]], normals[valid], params)

@@ -8,6 +8,7 @@ from liodom.preprocess import (RANSAC_BLOCK, VoxelParams, _neighbourhoods,
                                adaptive_voxel_downsample,
                                estimate_normals_planefit, preprocess_cloud,
                                ransac_ground_removal)
+from liodom.synth import corridor_sequence
 
 
 def _plane_points(rng, normal, offset, n=500, extent=10.0, sigma=0.0):
@@ -126,10 +127,41 @@ class TestPlanefitMatchesEighOracle:
         # which ties cannot reorder
         points = np.round(rng.uniform(-3.0, 3.0, (400, 3)), 1)
         k = 10
-        nbr = _neighbourhoods(points, k)
+        nbr = _neighbourhoods(points, k, points)
         got = np.sort(np.linalg.norm(points[nbr] - points[:, None], axis=2), axis=1)
         brute = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)
         np.testing.assert_array_equal(got, brute[:, :k + 1])
+
+
+def _subset_cloud(kind, rng):
+    if kind == "random":
+        return rng.uniform(-5.0, 5.0, (400, 3))
+    if kind == "noisy-plane":
+        return _plane_points(rng, [1.0, 0.2, 0.1], 4.0, n=300, extent=3.0, sigma=0.02)
+    # A line with a blob beside it: the line's own neighbourhoods are
+    # collinear (invalid), those near the blob are not.
+    line = np.array([2.0, 1.0, -1.0]) + np.outer(rng.uniform(-5.0, 5.0, 200), [0.6, 0.0, 0.8])
+    return np.vstack([line, rng.uniform(-1.0, 1.0, (150, 3)) + [8.0, 0.0, 0.0]])
+
+
+class TestPlanefitAtRows:
+    @pytest.mark.parametrize("kind", ["random", "noisy-plane", "line-and-blob"])
+    @pytest.mark.parametrize("rows", ["empty", "unsorted", "repeated"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_equal_all_rows_result(self, kind, rows, seed):
+        rng = np.random.default_rng(seed)
+        points = _subset_cloud(kind, rng)
+        n = len(points)
+        idx = {"empty": np.array([], dtype=int),
+               "unsorted": rng.permutation(n)[:n // 3],
+               "repeated": rng.integers(0, n, 2 * n)}[rows]
+        normals, valid = estimate_normals_planefit(points)
+        if kind == "line-and-blob":
+            assert valid.any() and not valid.all()
+        got_normals, got_valid = estimate_normals_planefit(points, at=idx)
+        assert got_normals.shape == (len(idx), 3) and got_valid.shape == (len(idx),)
+        np.testing.assert_array_equal(got_normals, normals[idx])
+        np.testing.assert_array_equal(got_valid, valid[idx])
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,37 +189,35 @@ class TestRansacGround:
         wall = _plane_points(rng, [1.0, 0.0, 0.0], 8.0, n=400, extent=3.0,
                              sigma=0.01) + np.array([0.0, 0.0, 2.0])
         pts = np.vstack([ground, wall])
-        normals, valid = estimate_normals_planefit(pts)
-        return pts[valid], normals[valid], len(ground)
+        _, valid = estimate_normals_planefit(pts)
+        return pts[valid], len(ground)
 
     def test_removes_dominant_plane(self):
-        pts, normals, n_ground = self._scene()
-        kept_p, kept_n = ransac_ground_removal(pts, normals, seed=0)
+        pts, n_ground = self._scene()
+        kept_p = pts[ransac_ground_removal(pts, seed=0)]
         assert len(kept_p) < 0.35 * len(pts)
         # the wall (x ~ 8) survives almost entirely
         assert (kept_p[:, 0] > 6.0).mean() > 0.9
 
     def test_deterministic_given_seed(self):
-        pts, normals, _ = self._scene(3)
-        a = ransac_ground_removal(pts, normals, seed=7)
-        b = ransac_ground_removal(pts, normals, seed=7)
-        np.testing.assert_array_equal(a[0], b[0])
+        pts, _ = self._scene(3)
+        a = ransac_ground_removal(pts, seed=7)
+        b = ransac_ground_removal(pts, seed=7)
+        np.testing.assert_array_equal(a, b)
 
     def test_no_plane_keeps_everything(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-10, 10, (800, 3))
-        normals, _ = estimate_normals_planefit(pts)
-        kept_p, _ = ransac_ground_removal(pts, normals, min_inlier_fraction=0.2,
-                                          seed=0)
+        kept_p = pts[ransac_ground_removal(pts, min_inlier_fraction=0.2, seed=0)]
         assert len(kept_p) == len(pts)
 
 
-def _reference_ransac(points, normals, distance_threshold=0.1, iterations=100,
+def _reference_ransac(points, distance_threshold=0.1, iterations=100,
                       min_inlier_fraction=0.2, seed=0):
-    """RANSAC scored one hypothesis at a time, keeping the first best count."""
+    """RANSAC keep mask, scored one hypothesis at a time, keeping the first best count."""
     n = len(points)
     if n < 3:
-        return points, normals
+        return np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
     best_inliers = None
     best_count = -1
@@ -204,8 +234,8 @@ def _reference_ransac(points, normals, distance_threshold=0.1, iterations=100,
             best_count = count
             best_inliers = inliers
     if best_inliers is None or best_count < min_inlier_fraction * n:
-        return points, normals
-    return points[~best_inliers], normals[~best_inliers]
+        return np.ones(n, dtype=bool)
+    return ~best_inliers
 
 
 def _ransac_cloud(kind, rng):
@@ -239,14 +269,13 @@ class TestRansacMatchesPerHypothesisLoop:
     def test_same_plane_removed(self, kind, iterations, seed):
         rng = np.random.default_rng(seed)
         pts = _ransac_cloud(kind, rng)
-        nrm = rng.standard_normal(pts.shape)
         fraction = 0.1 if kind == "collinear" else 0.2
-        got = ransac_ground_removal(pts, nrm, iterations=iterations,
+        got = ransac_ground_removal(pts, iterations=iterations,
                                     min_inlier_fraction=fraction, seed=seed)
-        want = _reference_ransac(pts, nrm, iterations=iterations,
+        want = _reference_ransac(pts, iterations=iterations,
                                  min_inlier_fraction=fraction, seed=seed)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
 
 
 def _reference_voxel_walk(points, normals, params):
@@ -476,3 +505,28 @@ def test_preprocess_cloud_drops_non_finite_rows():
     np.testing.assert_array_equal(got.normals, want.normals)
     assert (got.side_length, got.passes, got.met_target) == (
         want.side_length, want.passes, want.met_target)
+
+
+def test_preprocess_cloud_equals_normals_first_order():
+    # An odom-raw scan: the noisy corridor, read back from float32 storage.
+    scan = corridor_sequence(n_frames=2, seed=0, sigma=0.01, yaw_rate=0.05).scans[1]
+    points = scan.points.astype(np.float32).astype(float)
+    params = VoxelParams()
+    normals, valid = estimate_normals_planefit(points)
+    assert valid.all()
+    keep = _reference_ransac(points[valid])
+    want = adaptive_voxel_downsample(points[valid][keep], normals[valid][keep], params)
+    got = preprocess_cloud(points, params)
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.normals, want.normals)
+    assert (got.side_length, got.passes, got.met_target) == (
+        want.side_length, want.passes, want.met_target)
+
+
+def test_all_ground_scan_gives_empty_cloud():
+    rng = np.random.default_rng(0)
+    points = _plane_points(rng, [0.0, 0.0, 1.0], -1.7, n=2000, extent=20.0)
+    assert not ransac_ground_removal(points).any()
+    cloud = preprocess_cloud(points, VoxelParams(target=512, tolerance=100))
+    assert cloud.points.shape == cloud.normals.shape == (0, 3)
+    assert not cloud.met_target
