@@ -3,7 +3,8 @@
 Formats: velodyne .bin scans (little-endian float32, 4 per point), pose
 text files (12 reals per line, row-major upper 3x4), calib text files
 (key: 12 reals), and OXTS inertial text records (>= 23 whitespace fields
-per line). Readers reject malformed input naming the file and line.
+per line). Readers reject malformed input, and pose and calib values that
+are not finite, naming the file and line.
 """
 
 from __future__ import annotations
@@ -107,24 +108,26 @@ def window_imu(records: np.ndarray, record_times: np.ndarray,
     return windows
 
 
+def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
+    """A line's 12 reals (row-major upper 3x4) as a 4x4 matrix."""
+    if len(fields) != 12:
+        raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, need 12")
+    try:
+        vals = np.array([float(x) for x in fields])
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise FormatError(f"{path}: line {lineno} has a non-finite value")
+    T = np.eye(4)
+    T[:3, :] = vals.reshape(3, 4)
+    return T
+
+
 def read_poses(path) -> list[Pose]:
     """KITTI pose file: one row-major upper 3x4 matrix per line."""
-    poses = []
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 12:
-                raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, need 12")
-            try:
-                vals = np.array([float(x) for x in fields]).reshape(3, 4)
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-            T = np.eye(4)
-            T[:3, :] = vals
-            poses.append(Pose.from_matrix(T))
-    return poses
+        return [Pose.from_matrix(_matrix_from_fields(line.split(), path, lineno))
+                for lineno, line in enumerate(f, start=1) if line.strip()]
 
 
 def write_poses(path, poses):
@@ -144,12 +147,7 @@ def read_calib(path) -> dict[str, np.ndarray]:
             if ":" not in line:
                 raise FormatError(f"{path}: line {lineno} lacks a key")
             key, rest = line.split(":", 1)
-            fields = rest.split()
-            if len(fields) != 12:
-                raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, need 12")
-            T = np.eye(4)
-            T[:3, :] = np.array([float(x) for x in fields]).reshape(3, 4)
-            out[key.strip()] = T
+            out[key.strip()] = _matrix_from_fields(rest.split(), path, lineno)
     return out
 
 

@@ -66,7 +66,8 @@ def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentEr
     segment ends at the first frame whose accumulated ground-truth path
     length is >= L. The error pose is
     (gt_s^-1 gt_e)^-1 (est_s^-1 est_e); translational error |t|/L (as %),
-    rotational error angle/L (reported per 100 m).
+    rotational error angle/L (reported per 100 m). Each length is one
+    batched pass over all its segments.
     """
     if len(estimated) != len(ground_truth):
         raise ValueError("trajectories must be frame-aligned and equal length")
@@ -75,32 +76,20 @@ def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentEr
     dist = _path_lengths(ground_truth)
     gt = np.stack([p.matrix for p in ground_truth])
     est = np.stack([p.matrix for p in estimated])
+    starts = np.arange(0, len(gt), stride)
     report = SegmentErrorReport()
-    sums = {L: [0.0, 0.0, 0] for L in SEGMENT_LENGTHS}
-    for start in range(0, len(gt), stride):
-        for L in SEGMENT_LENGTHS:
-            end = int(np.searchsorted(dist, dist[start] + L))
-            if end >= len(gt):
-                continue
-            gt_rel = np.linalg.inv(gt[start]) @ gt[end]
-            est_rel = np.linalg.inv(est[start]) @ est[end]
-            err = np.linalg.inv(gt_rel) @ est_rel
-            sums[L][0] += np.linalg.norm(err[:3, 3]) / L
-            sums[L][1] += rotation_angle(err[:3, :3]) / L
-            sums[L][2] += 1
-    t_acc, r_acc, n_lengths = 0.0, 0.0, 0
     for L in SEGMENT_LENGTHS:
-        t_sum, r_sum, n = sums[L]
-        if n == 0:
+        ends = np.searchsorted(dist, dist[starts] + L)
+        has_end = ends < len(gt)
+        if not has_end.any():
             continue
-        t_mean = 100.0 * t_sum / n                       # percent
-        r_mean = np.degrees(r_sum / n) * 100.0           # deg per 100 m
-        report.per_length[L] = (t_mean, r_mean, n)
-        report.total_segments += n
-        t_acc += t_mean
-        r_acc += r_mean
-        n_lengths += 1
-    if n_lengths:
-        report.t_rel = t_acc / n_lengths
-        report.r_rel = r_acc / n_lengths
+        s, e = starts[has_end], ends[has_end]
+        err = np.linalg.inv(np.linalg.inv(gt[s]) @ gt[e]) @ (np.linalg.inv(est[s]) @ est[e])
+        t_mean = 100.0 * np.mean(np.linalg.norm(err[:, :3, 3], axis=1) / L)         # percent
+        r_mean = np.degrees(np.mean(rotation_angle(err[:, :3, :3]) / L)) * 100.0  # deg per 100 m
+        report.per_length[L] = (float(t_mean), float(r_mean), len(s))
+    if report.per_length:
+        t, r, counts = zip(*report.per_length.values())
+        report.t_rel, report.r_rel = float(np.mean(t)), float(np.mean(r))
+        report.total_segments = sum(counts)
     return report

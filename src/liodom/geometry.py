@@ -153,6 +153,8 @@ def apply_to_normal(T: Pose, n) -> np.ndarray:
     return n @ T.rotation.T
 
 
-def rotation_angle(R: np.ndarray) -> float:
-    """Angle (rad) of a rotation matrix, via the trace formula."""
-    return float(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)))
+def rotation_angle(R: np.ndarray) -> float | np.ndarray:
+    """Angle (rad) of a rotation matrix, via the trace formula: a float for
+    one (3, 3) matrix, an array of angles for a (..., 3, 3) stack."""
+    angle = np.arccos(np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    return float(angle) if np.ndim(angle) == 0 else angle

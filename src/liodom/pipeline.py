@@ -51,6 +51,11 @@ class TrainParams:
     epochs: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("batch_size", "lr_step_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -78,6 +83,10 @@ class PipelineConfig:
             raise ValueError(f"head_type must be one of {HEAD_TYPES}")
         if self.matching not in MATCHING:
             raise ValueError(f"matching must be one of {MATCHING}")
+        if self.imu_window < 1:
+            raise ValueError(f"imu_window must be at least 1, got {self.imu_window}")
+        if not self.max_match_dist > 0:
+            raise ValueError(f"max_match_dist must be positive, got {self.max_match_dist}")
 
 
 @dataclass

@@ -252,9 +252,16 @@ class TestExitCodes:
                      "--config", str(bad), "--preset", "no-imu"]) == 1
         assert "configuration error:" in capsys.readouterr().err
 
-    def test_usage_error_on_invalid_value(self, capsys):
+    @pytest.mark.parametrize("setting", [
+        "pipeline.imu_mode=bogus",
+        "train.batch_size=0",
+        "train.lr_step_size=0",
+        "pipeline.imu_window=0",
+        "pipeline.max_match_dist=-1",
+    ])
+    def test_usage_error_on_invalid_value(self, capsys, setting):
         assert main(["preprocess", "--input", "x", "--output", "y",
-                     "--set", "pipeline.imu_mode=bogus"]) == 1
+                     "--set", setting]) == 1
         assert "configuration error:" in capsys.readouterr().err
 
     def test_usage_error_on_unknown_flag(self):
@@ -276,6 +283,23 @@ class TestExitCodes:
     def test_data_error_on_missing_file(self, tmp_path):
         assert main(["eval", "--estimated", str(tmp_path / "no.txt"),
                      "--ground-truth", str(tmp_path / "no.txt")]) == 2
+
+    def test_data_error_on_non_numeric_calib(self, tmp_path, capsys):
+        poses = tmp_path / "poses.txt"
+        write_poses(poses, [Pose.identity()])
+        calib = tmp_path / "calib.txt"
+        calib.write_text("Tr: 1 0 0 0 0 1 0 0 0 0 1 abc\n")
+        assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
+                     "--output", str(tmp_path / "cam.txt")]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_data_error_on_nan_pose(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        write_poses(gt, [Pose(t=[float(i), 0.0, 0.0]) for i in range(3)])
+        est = tmp_path / "est.txt"
+        est.write_text(gt.read_text().replace("0.000000000000e+00", "nan", 1))
+        assert main(["eval", "--estimated", str(est), "--ground-truth", str(gt)]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_data_error_on_malformed_scan(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -145,6 +145,13 @@ class TestPoses:
         with pytest.raises(FormatError):
             read_poses(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 {value} 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(FormatError, match=r"poses\.txt: line 2"):
+            read_poses(path)
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_poses(path, [Pose.identity()])
@@ -167,6 +174,14 @@ class TestCalib:
         path = tmp_path / "calib.txt"
         path.write_text("1 2 3\n")
         with pytest.raises(FormatError):
+            read_calib(path)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_bad_value_rejected(self, tmp_path, value):
+        path = tmp_path / "calib.txt"
+        path.write_text("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n"
+                        f"Tr: 1 0 0 0 0 1 0 0 0 0 1 {value}\n")
+        with pytest.raises(FormatError, match=r"calib\.txt: line 2"):
             read_calib(path)
 
 

@@ -93,3 +93,8 @@ def test_rotation_angle():
     R = euler_to_matrix((0.3, -0.2, 1.1))
     assert rotation_angle(R) == pytest.approx(np.radians(67.60866224496492), abs=1e-9)
     assert rotation_angle(np.eye(3)) == 0.0
+    rng = np.random.default_rng(7)
+    stack = np.stack([euler_to_matrix(q) for q in rng.uniform(-np.pi, np.pi, (20, 3))])
+    angles = rotation_angle(stack)
+    assert angles.shape == (20,)
+    np.testing.assert_array_equal(angles, [rotation_angle(R) for R in stack])
