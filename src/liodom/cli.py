@@ -24,7 +24,7 @@ from .config import (ABLATION_PRESETS, ConfigError, config_to_dict,
 from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                          read_oxts, read_poses, read_velodyne_bin, window_imu,
                          write_oxts, write_poses, write_velodyne_bin)
-from .evaluation import kitti_relative_errors
+from .evaluation import SEGMENT_LENGTHS, kitti_relative_errors, path_lengths
 from .geometry import Pose
 from .matching import (CorrespondenceSet, EmptyMatchError, LossWeights,
                        loss_at_pose, loss_gradient, transformed_cloud)
@@ -242,7 +242,12 @@ def cmd_eval(args) -> int:
     gt = read_poses(args.ground_truth)
     if len(est) != len(gt):
         raise FormatError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
+    if not gt:
+        raise FormatError(f"{args.ground_truth}: no poses")
     report = kitti_relative_errors(est, gt, stride=args.stride)
+    if report.total_segments == 0:
+        raise FormatError(f"{args.ground_truth}: the ground-truth path is {path_lengths(gt)[-1]:.2f} m "
+                          f"long, shorter than the shortest segment ({SEGMENT_LENGTHS[0]:.0f} m)")
     print(report.as_table())
     if args.output is not None:
         Path(args.output).write_text(report.as_csv())

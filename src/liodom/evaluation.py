@@ -53,7 +53,8 @@ def trajectory_deltas(absolute) -> list[Pose]:
     return [compose(absolute[i].inverse(), absolute[i + 1]) for i in range(len(absolute) - 1)]
 
 
-def _path_lengths(poses) -> np.ndarray:
+def path_lengths(poses) -> np.ndarray:
+    """Path length (m) travelled from the first pose to each pose."""
     ts = np.array([p.t for p in poses])
     steps = np.linalg.norm(np.diff(ts, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(steps)])
@@ -73,7 +74,7 @@ def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentEr
         raise ValueError("trajectories must be frame-aligned and equal length")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    dist = _path_lengths(ground_truth)
+    dist = path_lengths(ground_truth)
     gt = np.stack([p.matrix for p in ground_truth])
     est = np.stack([p.matrix for p in estimated])
     starts = np.arange(0, len(gt), stride)

@@ -46,8 +46,7 @@ class Conv2d(Module):
     """2D cross-correlation: im2col, then one BLAS GEMM per contraction."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, stride: int = 1,
-                 pad: int | None = None, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+                 pad: int | None = None, *, rng: np.random.Generator):
         fan_in = in_ch * kernel * kernel
         self.weight = Param(uniform_init(rng, (out_ch, in_ch, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(out_ch))
@@ -117,9 +116,8 @@ class ChannelNorm(Module):
 class ResBlock(Module):
     """Basic residual block: two 3x3 convs with channel norm, ReLU output."""
 
-    def __init__(self, in_ch: int, out_ch: int, stride: int = 1,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_ch: int, out_ch: int, stride: int = 1, *,
+                 rng: np.random.Generator):
         self.conv1 = Conv2d(in_ch, out_ch, 3, stride=stride, rng=rng)
         self.norm1 = ChannelNorm(out_ch)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng=rng)
@@ -167,25 +165,21 @@ class MapEncoder(Module):
     those biases and shifts.
     """
 
-    def __init__(self, widths=(16, 32, 64), feature_dim: int = 256, in_ch: int = 6,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, widths=(16, 32, 64), feature_dim: int = 256, *,
+                 rng: np.random.Generator):
         c0, c1, c2 = widths
-        self.stem = Conv2d(in_ch, c0, 3, rng=rng)
+        self.stem = Conv2d(6, c0, 3, rng=rng)
         self.stem_norm = ChannelNorm(c0)
         self.blocks = [
-            ResBlock(c0, c0, 1, rng), ResBlock(c0, c0, 1, rng),
-            ResBlock(c0, c1, 2, rng), ResBlock(c1, c1, 1, rng),
-            ResBlock(c1, c2, 2, rng), ResBlock(c2, c2, 1, rng),
+            ResBlock(c0, c0, 1, rng=rng), ResBlock(c0, c0, 1, rng=rng),
+            ResBlock(c0, c1, 2, rng=rng), ResBlock(c1, c1, 1, rng=rng),
+            ResBlock(c1, c2, 2, rng=rng), ResBlock(c2, c2, 1, rng=rng),
         ]
         self.head = Linear(c2, feature_dim, rng)
         self.feature_dim = feature_dim
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 3:
-            x = x[None]
         if x.shape[2] < 4 or x.shape[3] < 4:
             raise ValueError(f"map {x.shape[2]}x{x.shape[3]} below the downsampling floor 4x4")
         a = self.stem_norm(self.stem(x))
@@ -199,7 +193,7 @@ class MapEncoder(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         relu, h_shape = self._cache
-        g = self.head.backward(np.atleast_2d(grad_out))
+        g = self.head.backward(grad_out)
         g = np.broadcast_to(g[:, :, None, None] / (h_shape[2] * h_shape[3]), h_shape).copy()
         for b in reversed(self.blocks):
             g = b.backward(g)

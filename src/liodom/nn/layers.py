@@ -8,24 +8,23 @@ from .core import Module, Param, sigmoid, uniform_init
 
 
 class Linear(Module):
+    """y = x W^T + b over (B, in_dim) rows; `rng` draws W unless zero_init."""
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
                  zero_init: bool = False):
         if zero_init:
             w = np.zeros((out_dim, in_dim))
         else:
-            rng = rng or np.random.default_rng(0)
             w = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.weight = Param(w)
         self.bias = Param(np.zeros(out_dim))
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_out = np.atleast_2d(grad_out)
         self.weight.grad += grad_out.T @ self._x
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value
@@ -38,8 +37,7 @@ class AttentionHead(Module):
     input; products are element-wise.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, dim: int, rng: np.random.Generator):
         self.gate_i = Linear(dim, dim, rng)
         self.cand_g = Linear(dim, dim, rng)
         self.gate_o = Linear(dim, dim, rng)
@@ -55,7 +53,6 @@ class AttentionHead(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         i, g, o, th = self._cache
-        grad_out = np.atleast_2d(grad_out)
         d_o = grad_out * th
         d_ig = grad_out * o * (1.0 - th * th)
         d_i = d_ig * g
@@ -69,8 +66,7 @@ class AttentionHead(Module):
 class FcActivationHead(Module):
     """Ablation head: out = tanh(W2 tanh(W1 x + b1) + b2)."""
 
-    def __init__(self, dim: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, dim: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, dim, rng)
         self.fc2 = Linear(dim, dim, rng)
         self._cache = None
@@ -83,16 +79,14 @@ class FcActivationHead(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         h, y = self._cache
-        gh = self.fc2.backward(np.atleast_2d(grad_out) * (1.0 - y * y))
+        gh = self.fc2.backward(grad_out * (1.0 - y * y))
         return self.fc1.backward(gh * (1.0 - h * h))
 
 
 class LSTM(Module):
     """Single-layer LSTM over (B, S, F) sequences; gate order i, f, g, o."""
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         h = hidden_size
         self.w_ih = Param(uniform_init(rng, (4 * h, input_size), input_size))
         self.w_hh = Param(uniform_init(rng, (4 * h, h), h))
@@ -102,9 +96,6 @@ class LSTM(Module):
 
     def forward(self, x: np.ndarray):
         """Returns (hidden sequence (B, S, H), final hidden (B, H)) from zero states."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            x = x[None]
         B, S, _ = x.shape
         H = self.hidden_size
         h = np.zeros((B, H))
@@ -135,14 +126,9 @@ class LSTM(Module):
         B = steps[0][0].shape[0]
         S = len(steps)
         H = self.hidden_size
-        if grad_hs is None:
-            grad_hs = np.zeros((B, S, H))
-        grad_hs = np.array(grad_hs, dtype=float)
-        if grad_hs.ndim == 2:
-            grad_hs = grad_hs[None]
+        grad_hs = np.zeros((B, S, H)) if grad_hs is None else np.array(grad_hs, dtype=float)
         if grad_h_final is not None:
-            grad_hs = grad_hs.copy()
-            grad_hs[:, -1] += np.atleast_2d(grad_h_final)
+            grad_hs[:, -1] += grad_h_final
         gx = np.zeros((B, S, self.w_ih.value.shape[1]))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))

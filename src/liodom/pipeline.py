@@ -119,6 +119,7 @@ class OdometryModel(Module):
     each block the model produces (`v`; `n` unless vertex-only; `imu`, the
     LSTM states, in feature-concat mode) and `head_inputs` lists the blocks
     each head reads. The forward concatenates and the backward splits by it.
+    Every method takes and returns arrays with a leading batch axis B.
 
     Output FC layers are zero-initialized so the untrained network emits
     the identity pose. In merged and vertex-only head modes head_q is
@@ -155,57 +156,58 @@ class OdometryModel(Module):
 
     # -- forward / backward -------------------------------------------------
 
-    def initial_pose(self, window: np.ndarray | None):
-        """(initial Pose, `imu` block or None): in initial-pose mode the gyro
+    def initial_pose(self, windows: np.ndarray | None):
+        """(initial pose vectors (B, 6) or None, `imu` block (B, 2 * lstm_hidden)
+        or None) from IMU windows (B, S, 6): in initial-pose mode the gyro
         hidden state gives q and the accelerometer's gives t."""
         mode = self.cfg.imu_mode
         if mode == "none":
-            return Pose.identity(), None
-        if window is None:
+            return None, None
+        if windows is None:
             raise ValueError(f"imu_mode={mode} requires an IMU window")
-        window = np.asarray(window, dtype=float)
-        _, h_g = self.lstm_gyro(window[None, :, 3:6])
-        _, h_a = self.lstm_acc(window[None, :, 0:3])
+        _, h_g = self.lstm_gyro(windows[:, :, 3:6])
+        _, h_a = self.lstm_acc(windows[:, :, 0:3])
         if mode == "feature-concat":
-            return Pose.identity(), np.concatenate([h_g[0], h_a[0]])
-        return Pose(q=self.fc_q_init(h_g)[0], t=self.fc_t_init(h_a)[0]), None
+            return None, np.concatenate([h_g, h_a], axis=1)
+        return np.concatenate([self.fc_q_init(h_g), self.fc_t_init(h_a)], axis=1), None
 
-    def residual_pose(self, v_pair: np.ndarray, n_pair: np.ndarray | None,
-                      imu_feats: np.ndarray | None) -> Pose:
-        """Residual pose from stacked map pairs (6, H, W) and optional IMU features."""
-        blocks = {"v": self.vertex_encoder(v_pair[None])[0], "imu": imu_feats}
+    def residual_pose(self, v_pairs: np.ndarray, n_pairs: np.ndarray | None,
+                      imu_feats: np.ndarray | None) -> np.ndarray:
+        """Residual pose vectors (B, 6) from stacked map pairs (B, 6, H, W) and
+        optional IMU features."""
+        blocks = {"v": self.vertex_encoder(v_pairs), "imu": imu_feats}
         if self.normal_encoder is not None:
-            if n_pair is None:
+            if n_pairs is None:
                 raise ValueError("head mode requires a normal-map pair")
-            blocks["n"] = self.normal_encoder(n_pair[None])[0]
-        x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]])[None]
+            blocks["n"] = self.normal_encoder(n_pairs)
+        x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]], axis=1)
                     for h in ("t", "q"))
         h_t = self.head_t(x_t)
         h_q = h_t if self.head_q is self.head_t else self.head_q(x_q)
-        return Pose(q=self.cfg.q_scale * self.out_q(h_q)[0], t=self.out_t(h_t)[0])
+        return np.concatenate([self.cfg.q_scale * self.out_q(h_q), self.out_t(h_t)], axis=1)
 
     def backward(self, grad_delta: np.ndarray, grad_hat: np.ndarray):
-        """Backprop the loss gradients on the residual and initial pose vectors."""
-        gh_q = self.out_q.backward(np.atleast_2d(self.cfg.q_scale * grad_delta[:3]))
-        gh_t = self.out_t.backward(np.atleast_2d(grad_delta[3:]))
+        """Backprop the loss gradients (B, 6) on the residual and initial pose vectors."""
+        gh_q = self.out_q.backward(self.cfg.q_scale * grad_delta[:, :3])
+        gh_t = self.out_t.backward(grad_delta[:, 3:])
         if self.head_q is self.head_t:     # one backward on the summed output gradients
-            head_grads = {"t": self.head_t.backward(gh_t + gh_q)[0]}
+            head_grads = {"t": self.head_t.backward(gh_t + gh_q)}
         else:
-            head_grads = {"t": self.head_t.backward(gh_t)[0], "q": self.head_q.backward(gh_q)[0]}
+            head_grads = {"t": self.head_t.backward(gh_t), "q": self.head_q.backward(gh_q)}
         grads = {}
         for head, gx in head_grads.items():
             reads = self.head_inputs[head]
-            parts = np.split(gx, np.cumsum([self.feature_blocks[b] for b in reads])[:-1])
+            parts = np.split(gx, np.cumsum([self.feature_blocks[b] for b in reads])[:-1], axis=1)
             for b, part in zip(reads, parts):
                 grads[b] = grads[b] + part if b in grads else part
-        self.vertex_encoder.backward(grads["v"][None])
+        self.vertex_encoder.backward(grads["v"])
         if self.normal_encoder is not None:
-            self.normal_encoder.backward(grads["n"][None])
+            self.normal_encoder.backward(grads["n"])
         if self.cfg.imu_mode == "initial-pose":
-            gh_g = self.fc_q_init.backward(np.atleast_2d(grad_hat[:3]))
-            gh_a = self.fc_t_init.backward(np.atleast_2d(grad_hat[3:]))
+            gh_g = self.fc_q_init.backward(grad_hat[:, :3])
+            gh_a = self.fc_t_init.backward(grad_hat[:, 3:])
         elif self.cfg.imu_mode == "feature-concat":
-            gh_g, gh_a = np.split(grads["imu"][None], 2, axis=1)
+            gh_g, gh_a = np.split(grads["imu"], 2, axis=1)
         else:
             return
         self.lstm_gyro.backward(grad_h_final=gh_g)
@@ -221,23 +223,24 @@ class PairDiagnostics:
 
 
 def estimate_pair(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
-    """Forward pass for one pair: returns (Pose, PairDiagnostics)."""
-    t_hat, imu_feats = model.initial_pose(fp.imu)
+    """Forward pass for one pair, as a batch of one: returns (Pose, PairDiagnostics)."""
+    windows = None if fp.imu is None else np.asarray(fp.imu, dtype=float)[None]
+    p_hat, imu_feats = model.initial_pose(windows)
+    t_hat = Pose.identity() if p_hat is None else Pose.from_vector(p_hat[0])
     # feature-concat and none skip the remap step entirely
     v_cur, n_cur = fp.v_cur, fp.n_cur
     if cfg.imu_mode == "initial-pose":
         v_cur, n_cur = remap(fp.v_cur, fp.n_cur, t_hat, cfg.projection)
-    v_pair = np.concatenate([_map_tensor(fp.v_last), _map_tensor(v_cur)])
-    n_pair = None
-    if model.normal_encoder is not None:
-        n_pair = np.concatenate([_map_tensor(fp.n_last), _map_tensor(n_cur)])
-    delta = model.residual_pose(v_pair, n_pair, imu_feats)
+    v_pairs = _map_pair(fp.v_last, v_cur)[None]
+    n_pairs = None if model.normal_encoder is None else _map_pair(fp.n_last, n_cur)[None]
+    delta = Pose.from_vector(model.residual_pose(v_pairs, n_pairs, imu_feats)[0])
     pose = compose(delta, t_hat)
     return pose, PairDiagnostics(initial=t_hat, residual=delta)
 
 
-def _map_tensor(m) -> np.ndarray:
-    return np.transpose(m.grid, (2, 0, 1))
+def _map_pair(last, cur) -> np.ndarray:
+    """Two (H, W, 3) maps stacked channel-first, last then current: (6, H, W)."""
+    return np.concatenate([np.transpose(m.grid, (2, 0, 1)) for m in (last, cur)])
 
 
 def pixel_correspondences(fp: FramePair, pose: Pose, cfg: ProjectionConfig):
@@ -323,7 +326,7 @@ def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     if not (np.isfinite(diag.loss) and np.isfinite(grad_delta).all()
             and np.isfinite(grad_hat).all()):
         raise NonFinitePairError("loss or pose gradient is not finite")
-    model.backward(grad_delta, grad_hat)
+    model.backward(grad_delta[None], grad_hat[None])
     return diag.loss, terms, diag
 
 

@@ -13,9 +13,9 @@ import numpy as np
 
 from .geometry import Pose, apply_to_normal, apply_to_point, rotation_angle
 from .preprocess import PreprocessedCloud
-from .range_image import ProjectionConfig, pixel_coordinates
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+IMU_RATE = 15     # corridor IMU samples per scan interval
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,17 @@ def sample_scene(spec: SceneSpec) -> SyntheticScene:
     return SyntheticScene(np.vstack(pts), np.vstack(nrm), np.concatenate(lab))
 
 
-def scan_from_pose(scene: SyntheticScene, sensor_pose: Pose,
-                   fov: ProjectionConfig | None = None) -> SyntheticScene:
-    """Express the scene in the sensor frame; optionally crop to the FOV window."""
+def scan_from_pose(scene: SyntheticScene, sensor_pose: Pose) -> SyntheticScene:
+    """Express the scene in the sensor frame."""
     inv = sensor_pose.inverse()
     pts = apply_to_point(inv, scene.points)
     nrm = apply_to_normal(inv, scene.normals)
-    lab = scene.labels
-    if fov is not None:
-        _, _, _, keep = pixel_coordinates(pts, fov)
-        pts, nrm, lab = pts[keep], nrm[keep], lab[keep]
     # orient normals toward the sensor so oracle clouds match the
     # preprocess convention
     flip = np.einsum("ni,ni->n", nrm, pts) > 0
     nrm = nrm.copy()
     nrm[flip] *= -1.0
-    return SyntheticScene(pts, nrm, lab.copy())
+    return SyntheticScene(pts, nrm, scene.labels.copy())
 
 
 def imu_records(poses, times) -> np.ndarray:
@@ -209,8 +204,7 @@ class SyntheticSequence:
 
 
 def corridor_sequence(n_frames: int = 20, seed: int = 0, sigma: float = 0.0,
-                      yaw_rate: float = 0.0, speed: float = 0.3,
-                      imu_rate: int = 15) -> SyntheticSequence:
+                      yaw_rate: float = 0.0, speed: float = 0.3) -> SyntheticSequence:
     """A box-corridor trajectory with scans, ground truth, and IMU windows."""
     spec = SceneSpec(
         boxes=(Box(center=(0.0, 0.0, 2.0), size=(40.0, 12.0, 5.0)),),
@@ -222,13 +216,13 @@ def corridor_sequence(n_frames: int = 20, seed: int = 0, sigma: float = 0.0,
     )
     scene = sample_scene(spec)
     dt = 0.1
-    dense_times = np.arange(n_frames * imu_rate + 1) * (dt / imu_rate)
+    dense_times = np.arange(n_frames * IMU_RATE + 1) * (dt / IMU_RATE)
     dense_poses = []
     for t in dense_times:
         yaw = yaw_rate * t
         x = speed * t / dt
         dense_poses.append(Pose(q=[0.0, 0.0, yaw], t=[x, 0.5 * np.sin(0.3 * x), 0.0]))
-    scan_idx = np.arange(n_frames) * imu_rate
+    scan_idx = np.arange(n_frames) * IMU_RATE
     scan_times = dense_times[scan_idx]
     poses = [dense_poses[i] for i in scan_idx]
     scans = [scan_from_pose(scene, p) for p in poses]

@@ -137,10 +137,22 @@ class TestCliRoundTrip:
                      "--checkpoint", str(run / "model.ckpt"),
                      "--mode", "learned"]) == 0
         assert len(read_poses(est)) == 4
+        # four corridor frames span about 1 m, short of a 100 m segment
         assert main(["eval", "--estimated", str(est),
                      "--ground-truth", str(data / "poses.txt"),
+                     "--output", str(tmp_path / "report.csv")]) == 2
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_eval_writes_report(self, tmp_path, capsys):
+        gt, est = tmp_path / "gt.txt", tmp_path / "est.txt"
+        write_poses(gt, [Pose(t=[float(i), 0.0, 0.0]) for i in range(120)])
+        write_poses(est, [Pose(t=[1.01 * i, 0.0, 0.0]) for i in range(120)])
+        assert main(["eval", "--estimated", str(est), "--ground-truth", str(gt),
                      "--output", str(tmp_path / "report.csv")]) == 0
-        assert (tmp_path / "report.csv").read_text().startswith("length_m,")
+        assert re.search(r"^ +overall +1\.0000 +0\.0000 +20$", capsys.readouterr().out,
+                         re.MULTILINE)
+        csv = (tmp_path / "report.csv").read_text()
+        assert csv.startswith("length_m,") and csv.endswith("overall,1.000000,0.000000,20\n")
 
     def test_infer_classical_without_checkpoint(self, tmp_path):
         data = _synth(tmp_path, frames=3)
@@ -292,6 +304,23 @@ class TestExitCodes:
         assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
                      "--output", str(tmp_path / "cam.txt")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_data_error_on_empty_pose_files(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["eval", "--estimated", str(empty), "--ground-truth", str(empty)]) == 2
+        assert "no poses" in capsys.readouterr().err
+
+    def test_data_error_on_trajectory_shorter_than_a_segment(self, tmp_path, capsys):
+        # the estimate moves at twice the speed: a 100% error that no segment measures
+        gt, est, out = tmp_path / "gt.txt", tmp_path / "est.txt", tmp_path / "report.csv"
+        write_poses(gt, [Pose(t=[float(i), 0.0, 0.0]) for i in range(3)])
+        write_poses(est, [Pose(t=[2.0 * i, 0.0, 0.0]) for i in range(3)])
+        assert main(["eval", "--estimated", str(est), "--ground-truth", str(gt),
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "2.00 m" in captured.err and "100 m" in captured.err
 
     def test_data_error_on_nan_pose(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

@@ -164,7 +164,7 @@ def test_lstm_single_step_hand_computed():
     # Scalar cell with all weights 0.5, bias 0, input 1, zero state:
     # z = 0.5 for each gate, i = f = o = sigmoid(0.5), g = tanh(0.5),
     # c = i * g, h = o * tanh(c).
-    m = LSTM(1, 1)
+    m = LSTM(1, 1, np.random.default_rng(0))
     m.w_ih.value[:] = 0.5
     m.w_hh.value[:] = 0.5
     m.bias.value[:] = 0.0
@@ -193,7 +193,7 @@ def test_zero_init_linear_outputs_zero():
 
 
 def test_encoder_rejects_tiny_maps():
-    m = MapEncoder((2, 3, 4), 5)
+    m = MapEncoder((2, 3, 4), 5, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         m(np.zeros((1, 6, 3, 16)))
 

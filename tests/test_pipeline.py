@@ -145,8 +145,8 @@ def test_model_backward_matches_finite_differences(tiny_pair, imu_mode, head_mod
             p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
     model.set_training(False)
     # remap is not differentiated by design: hold the remapped maps fixed
-    t_hat, _ = model.initial_pose(tiny_pair.imu)
-    fixed = remap(tiny_pair.v_cur, tiny_pair.n_cur, t_hat, cfg.projection)
+    _, diag = estimate_pair(tiny_pair, model, cfg)
+    fixed = remap(tiny_pair.v_cur, tiny_pair.n_cur, diag.initial, cfg.projection)
     monkeypatch.setattr(pipeline, "remap", lambda *args: fixed)
 
     def fwd(m, window):
@@ -154,9 +154,50 @@ def test_model_backward_matches_finite_differences(tiny_pair, imu_mode, head_mod
         return np.concatenate([diag.residual.as_vector(), diag.initial.as_vector()])
 
     def bwd(m, g):
-        m.backward(g[:6], g[6:])
+        m.backward(g[None, :6], g[None, 6:])
 
     assert gradcheck(model, tiny_pair.imu, rng, fwd, bwd, n_checks=1) < 1e-4
+
+
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("imu_mode", IMU_MODES)
+def test_model_batch_matches_single_pairs(imu_mode, head_mode):
+    # A batch of two pairs gives each pair's outputs, and the sum of the two
+    # single-pair parameter gradients; GEMMs over other row counts round
+    # differently, so the match is to 1e-12, not bit for bit.
+    cfg = _tiny_cfg(imu_mode=imu_mode, head_mode=head_mode, lstm_hidden=5)
+    model = OdometryModel(cfg)
+    rng = np.random.default_rng(1)
+    for p in model.parameters().values():
+        if not p.value.any():
+            p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    model.set_training(False)
+    pairs, _ = _pairs(cfg)
+    assert len(pairs) == 2
+    stacked = lambda a, b: np.concatenate([np.transpose(m.grid, (2, 0, 1)) for m in (a, b)])
+    windows = np.stack([fp.imu for fp in pairs])
+    v_pairs = np.stack([stacked(fp.v_last, fp.v_cur) for fp in pairs])
+    n_pairs = np.stack([stacked(fp.n_last, fp.n_cur) for fp in pairs])
+    g_delta, g_hat = rng.standard_normal((2, 2, 6))
+
+    def run(rows):
+        model.zero_grad()
+        p_hat, imu_feats = model.initial_pose(windows[rows])
+        p_delta = model.residual_pose(v_pairs[rows], n_pairs[rows], imu_feats)
+        model.backward(g_delta[rows], g_hat[rows])
+        return p_hat, p_delta, {k: p.grad.copy() for k, p in model.parameters().items()}
+
+    p_hat, p_delta, grads = run(slice(0, 2))
+    singles = [run(slice(k, k + 1)) for k in range(2)]
+    assert p_delta.shape == (2, 6)
+    assert (p_hat is None) == (imu_mode != "initial-pose")
+    for k, (hat_k, delta_k, _) in enumerate(singles):
+        np.testing.assert_allclose(p_delta[k:k + 1], delta_k, rtol=0, atol=1e-12)
+        if p_hat is not None:
+            np.testing.assert_allclose(p_hat[k:k + 1], hat_k, rtol=0, atol=1e-12)
+    for name, grad in grads.items():
+        total = singles[0][2][name] + singles[1][2][name]
+        assert np.max(np.abs(grad - total)) <= 1e-12 * np.max(np.abs(total)), name
 
 
 class TestComposedGradients:
