@@ -2,8 +2,9 @@
 
 Layout: magic "LIOCKPT1", 8-byte little-endian header length, a UTF-8 JSON
 header, then the concatenated little-endian raw value arrays. The header
-records the architecture config, precision, and per-parameter name, shape
-and byte offset.
+records the architecture config, the precision (the arrays' own dtype,
+float32 or float64, one for all of them), and per-parameter name, shape and
+byte offset.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"LIOCKPT1"
+PRECISIONS = ("float32", "float64")
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None,
-                    precision: str = "float64"):
+def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None):
+    """Write the arrays in their own dtype, which must be one of PRECISIONS
+    and the same for all of them."""
+    precisions = {np.asarray(a).dtype.name for a in arrays.values()} or {"float64"}
+    if len(precisions) > 1 or not precisions <= set(PRECISIONS):
+        raise ValueError(f"checkpoint arrays must share one dtype of {PRECISIONS}, "
+                         f"got {sorted(precisions)}")
+    precision = precisions.pop()
     dtype = np.dtype(precision).newbyteorder("<")
     entries = []
     blobs = []
@@ -42,12 +50,14 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (arrays, config, precision)."""
+    """Returns (arrays, config, precision); the arrays keep the stored precision."""
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     (hlen,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + hlen].decode("utf-8"))
+    if header["precision"] not in PRECISIONS:
+        raise ValueError(f"{path}: unknown precision {header['precision']!r}")
     dtype = np.dtype(header["precision"]).newbyteorder("<")
     base = 16 + hlen
     arrays = {}
@@ -55,5 +65,5 @@ def load_checkpoint(path):
         n = int(np.prod(e["shape"])) if e["shape"] else 1
         start = base + e["offset"]
         a = np.frombuffer(data, dtype=dtype, count=n, offset=start)
-        arrays[e["name"]] = a.reshape(e["shape"]).astype(float)
+        arrays[e["name"]] = a.reshape(e["shape"]).astype(header["precision"])
     return arrays, header["config"], header["precision"]

@@ -21,9 +21,9 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     Wo = (W + 2 * pad - k) // stride + 1
     xp = x
     if pad:
-        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + H, pad:pad + W] = x
-    cols = np.empty((B, C, k, k, Ho, Wo))
+    cols = np.empty((B, C, k, k, Ho, Wo), dtype=x.dtype)
     for a in range(k):
         for b in range(k):
             cols[:, :, a, b] = xp[:, :, a:a + stride * Ho:stride, b:b + stride * Wo:stride]
@@ -35,7 +35,7 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int):
     Ho = (H + 2 * pad - k) // stride + 1
     Wo = (W + 2 * pad - k) // stride + 1
     cols = cols.reshape(B, C, k, k, Ho, Wo)
-    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
     for a in range(k):
         for b in range(k):
             xp[:, :, a:a + stride * Ho:stride, b:b + stride * Wo:stride] += cols[:, :, a, b]
@@ -56,7 +56,7 @@ class Conv2d(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.weight.value.dtype)
         cols, (Ho, Wo) = _im2col(x, self.kernel, self.stride, self.pad)
         w = self.weight.value.reshape(self.weight.value.shape[0], -1)
         y = w @ cols + self.bias.value[:, None]
@@ -94,7 +94,7 @@ class ChannelNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.gamma.value.dtype)
         scale = 1.0 / np.sqrt(self.running_var + self.eps)
         xhat = (x - self.running_mean[:, None, None]) * scale[:, None, None]
         self._cache = (xhat, scale)

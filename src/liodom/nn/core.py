@@ -2,22 +2,26 @@
 
 Modules own named parameters and buffers, cache what forward needs for
 backward, and accumulate parameter gradients on backward. Everything is
-plain numpy in double precision. `central_difference` is the one finite
-difference; `gradcheck` compares any module's backward with it.
+plain numpy. A module is built in float64, and each layer computes in its
+own parameters' dtype, so `Module.cast` sets a whole network's precision
+(`OdometryModel` runs in float32). `central_difference` is the one finite
+difference; `gradcheck` compares a float64 module's backward with it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 
 class Param:
-    """A trainable array with an accumulated gradient."""
+    """A trainable array, in the dtype it is given, with an accumulated gradient."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=float)
+        self.value = np.asarray(value)
         self.grad = np.zeros_like(self.value)
 
 
@@ -70,6 +74,16 @@ class Module:
         for name, value in arrays.items():
             state[name][...] = value
 
+    def cast(self, dtype):
+        """Convert every parameter, its gradient and every buffer to dtype, in place."""
+        for p in self.parameters().values():
+            p.value = p.value.astype(dtype)
+            p.grad = p.grad.astype(dtype)
+        for _, m in self.named_modules():
+            for name in m.buffer_names:
+                setattr(m, name, getattr(m, name).astype(dtype))
+        return self
+
     def set_training(self, flag: bool):
         for _, m in self.named_modules():
             m.training = flag
@@ -102,13 +116,20 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+# Relative gap between the one-sided quotients above which an element is
+# taken to straddle a kink. An unflagged kink shifts the central quotient by
+# at most half this gap, so 2e-5 keeps it at 1e-5, a tenth of the 1e-4 bound
+# every caller holds backward to; smooth elements agree to about 3e-8.
+KINK_GAP = 2e-5
+
+
 def central_difference(f, x: np.ndarray, index, eps: float):
     """Central difference quotient of f() in element `index` of x.
 
     f takes no arguments, reads x and returns a float or an array. x[index]
     is moved in place to +eps and -eps, then restored exactly. Returns
     (quotient, kink): kink is True when the two one-sided quotients
-    disagree by more than 1e-3 relative somewhere, as they do across a
+    disagree by more than KINK_GAP relative somewhere, as they do across a
     ReLU/abs kink, where a central difference is meaningless.
     """
     old = x[index]
@@ -120,20 +141,31 @@ def central_difference(f, x: np.ndarray, index, eps: float):
     x[index] = old
     fd = (fp - fm) / (2 * eps)
     gap = np.abs((fp - f0) / eps - (f0 - fm) / eps) / np.maximum(1.0, np.abs(fd))
-    return fd, bool(np.any(gap > 1e-3))
+    return fd, bool(np.any(gap > KINK_GAP))
+
+
+class GradcheckResult(NamedTuple):
+    worst: float       # worst relative error over the compared elements
+    skipped: int       # drawn elements flagged as straddling a kink
+    drawn: int
 
 
 def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None, bwd=None,
-              n_checks: int = 4, eps: float = 1e-6, wrt_input: bool = False) -> float:
-    """Worst relative error of backward's gradients against central differences.
+              n_checks: int = 4, eps: float = 1e-6, wrt_input: bool = False) -> GradcheckResult:
+    """Backward's gradients against central differences, for a float64 module.
 
     The checked scalar is sum(fwd(module, x) * g) for a random g. n_checks
     random elements are perturbed in each parameter or, with wrt_input, in
     x, against the gradient bwd returns. Elements that `central_difference`
-    flags as straddling a kink are skipped; if every drawn element is
-    skipped, nothing was compared and the result is inf. A non-finite
-    error makes the result NaN.
+    flags as straddling a kink are skipped and counted; if every drawn
+    element is skipped, nothing was compared and `worst` is inf. A
+    non-finite error makes `worst` NaN. A module with a parameter that is
+    not float64 raises TypeError: eps-sized steps are below float32's
+    resolution, so its differences would measure rounding, not backward.
     """
+    for name, p in module.parameters().items():
+        if p.value.dtype != np.float64:
+            raise TypeError(f"gradcheck needs float64 parameters; {name} is {p.value.dtype}")
     fwd = fwd or (lambda m, a: m(a))
     bwd = bwd or (lambda m, grad: m.backward(grad))
     x = np.ascontiguousarray(x, dtype=float)     # perturbed in place below
@@ -146,10 +178,13 @@ def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None,
         checked = [(p.value, p.grad) for p in module.parameters().values()]
     loss = lambda: float(np.sum(fwd(module, x) * g))
     errors = []
+    drawn = 0
     for value, grad in checked:
         for i in rng.choice(value.size, size=min(n_checks, value.size), replace=False):
             index = np.unravel_index(i, value.shape)
             fd, kink = central_difference(loss, value, index, eps)
+            drawn += 1
             if not kink:
                 errors.append(abs(fd - grad[index]) / max(1.0, abs(fd)))
-    return float(np.max(errors)) if errors else np.inf    # np.max keeps a NaN
+    worst = float(np.max(errors)) if errors else np.inf    # np.max keeps a NaN
+    return GradcheckResult(worst, drawn - len(errors), drawn)

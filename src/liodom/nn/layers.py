@@ -14,6 +14,9 @@ class Linear(Module):
                  zero_init: bool = False):
         if zero_init:
             w = np.zeros((out_dim, in_dim))
+        elif rng is None:
+            raise TypeError("Linear() needs a generator `rng` to draw its weight "
+                            "unless zero_init=True")
         else:
             w = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.weight = Param(w)
@@ -21,7 +24,7 @@ class Linear(Module):
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x = np.asarray(x, dtype=self.weight.value.dtype)
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -96,12 +99,13 @@ class LSTM(Module):
 
     def forward(self, x: np.ndarray):
         """Returns (hidden sequence (B, S, H), final hidden (B, H)) from zero states."""
+        x = np.asarray(x, dtype=self.w_ih.value.dtype)
         B, S, _ = x.shape
         H = self.hidden_size
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
+        h = np.zeros((B, H), dtype=x.dtype)
+        c = np.zeros((B, H), dtype=x.dtype)
         steps = []
-        hs = np.empty((B, S, H))
+        hs = np.empty((B, S, H), dtype=x.dtype)
         for s in range(S):
             z = x[:, s] @ self.w_ih.value.T + h @ self.w_hh.value.T + self.bias.value
             i = sigmoid(z[:, :H])
@@ -115,7 +119,7 @@ class LSTM(Module):
             hs[:, s] = h
             steps.append((x[:, s], i, f, g, o, c_prev, tc))
         # each step also needs the previous hidden state for w_hh grads
-        h_prevs = np.concatenate([np.zeros((B, 1, H)), hs[:, :-1]], axis=1)
+        h_prevs = np.concatenate([np.zeros((B, 1, H), dtype=x.dtype), hs[:, :-1]], axis=1)
         self._cache = (steps, h_prevs)
         return hs, h
 
@@ -126,12 +130,13 @@ class LSTM(Module):
         B = steps[0][0].shape[0]
         S = len(steps)
         H = self.hidden_size
-        grad_hs = np.zeros((B, S, H)) if grad_hs is None else np.array(grad_hs, dtype=float)
+        dtype = self.w_ih.value.dtype
+        grad_hs = np.zeros((B, S, H), dtype) if grad_hs is None else np.array(grad_hs, dtype)
         if grad_h_final is not None:
             grad_hs[:, -1] += grad_h_final
-        gx = np.zeros((B, S, self.w_ih.value.shape[1]))
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
+        gx = np.zeros((B, S, self.w_ih.value.shape[1]), dtype)
+        dh_next = np.zeros((B, H), dtype)
+        dc_next = np.zeros((B, H), dtype)
         for s in reversed(range(S)):
             xt, i, f, g, o, c_prev, tc = steps[s]
             dh = grad_hs[:, s] + dh_next

@@ -16,8 +16,10 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        # float64 moments whatever the parameters' dtype: the update is
+        # computed in float64 and rounded once, into the parameter
+        self._m = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        self._v = {k: np.zeros(p.value.shape) for k, p in params.items()}
 
     def step(self):
         self.t += 1

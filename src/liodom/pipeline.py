@@ -124,6 +124,12 @@ class OdometryModel(Module):
     Output FC layers are zero-initialized so the untrained network emits
     the identity pose. In merged and vertex-only head modes head_q is
     head_t, so its parameters are named and stepped once, as head_t.
+
+    The network runs in float32: its parameters, buffers, activations and
+    gradients. Parameters are drawn in float64, then cast once. Each method
+    casts the arrays it is given to the network's dtype, and the pose
+    vectors it returns to float64, for the pose algebra and the loss. The
+    `imu` block stays in the network's dtype: only `residual_pose` reads it.
     """
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator | None = None):
@@ -153,6 +159,12 @@ class OdometryModel(Module):
             self.head_q = _make_head(cfg.head_type, self.q_dim, rng)
         self.out_t = Linear(self.t_dim, 3, zero_init=True)
         self.out_q = Linear(self.q_dim, 3, zero_init=True)
+        self.cast(np.float32)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The network's precision: the dtype of its parameters."""
+        return self.out_t.weight.value.dtype
 
     # -- forward / backward -------------------------------------------------
 
@@ -165,29 +177,35 @@ class OdometryModel(Module):
             return None, None
         if windows is None:
             raise ValueError(f"imu_mode={mode} requires an IMU window")
+        windows = np.asarray(windows, dtype=self.dtype)
         _, h_g = self.lstm_gyro(windows[:, :, 3:6])
         _, h_a = self.lstm_acc(windows[:, :, 0:3])
         if mode == "feature-concat":
             return None, np.concatenate([h_g, h_a], axis=1)
-        return np.concatenate([self.fc_q_init(h_g), self.fc_t_init(h_a)], axis=1), None
+        p_hat = np.concatenate([self.fc_q_init(h_g), self.fc_t_init(h_a)], axis=1)
+        return p_hat.astype(float), None
 
     def residual_pose(self, v_pairs: np.ndarray, n_pairs: np.ndarray | None,
                       imu_feats: np.ndarray | None) -> np.ndarray:
         """Residual pose vectors (B, 6) from stacked map pairs (B, 6, H, W) and
         optional IMU features."""
-        blocks = {"v": self.vertex_encoder(v_pairs), "imu": imu_feats}
+        blocks = {"v": self.vertex_encoder(np.asarray(v_pairs, dtype=self.dtype)),
+                  "imu": imu_feats}
         if self.normal_encoder is not None:
             if n_pairs is None:
                 raise ValueError("head mode requires a normal-map pair")
-            blocks["n"] = self.normal_encoder(n_pairs)
+            blocks["n"] = self.normal_encoder(np.asarray(n_pairs, dtype=self.dtype))
         x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]], axis=1)
                     for h in ("t", "q"))
         h_t = self.head_t(x_t)
         h_q = h_t if self.head_q is self.head_t else self.head_q(x_q)
-        return np.concatenate([self.cfg.q_scale * self.out_q(h_q), self.out_t(h_t)], axis=1)
+        p_delta = np.concatenate([self.cfg.q_scale * self.out_q(h_q), self.out_t(h_t)], axis=1)
+        return p_delta.astype(float)
 
     def backward(self, grad_delta: np.ndarray, grad_hat: np.ndarray):
         """Backprop the loss gradients (B, 6) on the residual and initial pose vectors."""
+        grad_delta = np.asarray(grad_delta, dtype=self.dtype)
+        grad_hat = np.asarray(grad_hat, dtype=self.dtype)
         gh_q = self.out_q.backward(self.cfg.q_scale * grad_delta[:, :3])
         gh_t = self.out_t.backward(grad_delta[:, 3:])
         if self.head_q is self.head_t:     # one backward on the summed output gradients

@@ -61,13 +61,15 @@ def _pose_error(est: Pose, true: Pose):
 
 def test_criterion_1_gradient_suite(capfd):
     t0 = time.time()
-    worst = np.max([list(gradient_suite(np.random.default_rng(seed)).values())
-                    for seed in range(10)])
+    results = [r for seed in range(10)
+               for r in gradient_suite(np.random.default_rng(seed)).values()]
     elapsed = time.time() - t0
+    worst = np.max([r.worst for r in results])      # np.max keeps a NaN
     ok = worst < 1e-4 and elapsed < 60.0
     report(capfd, 1, ok,
            f"gradient suite worst rel err {worst:.2e} (< 1e-4), "
-           f"{elapsed:.1f}s (< 60s), 10 seeds")
+           f"{elapsed:.1f}s (< 60s), 10 seeds; skipped at kinks "
+           f"{sum(r.skipped for r in results)} of {sum(r.drawn for r in results)}")
 
 
 # -- criterion 2: loss correctness -------------------------------------------

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import yaml
 
-from liodom import pipeline
+from liodom import cli, pipeline
 from liodom.cli import main
 from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
 from liodom.dataset_io import read_poses, write_poses
 from liodom.geometry import Pose
+from liodom.nn import gradcheck
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -358,6 +359,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert re.search(r"^pose-loss .* ok$", out, re.MULTILINE)
         assert re.search(r"^composed-pose .* FAIL$", out, re.MULTILINE)
+
+    def test_gradcheck_checks_float64_modules(self, monkeypatch):
+        dtypes = set()
+
+        def spy(module, *args, **kwargs):
+            dtypes.update(p.value.dtype for p in module.parameters().values())
+            return gradcheck(module, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "gradcheck", spy)
+        assert len(cli.gradient_suite(np.random.default_rng(0))) == 10
+        assert dtypes == {np.dtype(np.float64)}
 
     def test_infer_learned_without_checkpoint_is_usage_error(self, tmp_path):
         data = _synth(tmp_path, frames=3)

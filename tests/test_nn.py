@@ -5,8 +5,8 @@ import pytest
 
 from liodom.nn import (Adam, AttentionHead, ChannelNorm, Conv2d,
                        FcActivationHead, Linear, LSTM, MapEncoder, Param,
-                       ResBlock, StepLR, gradcheck, load_checkpoint,
-                       save_checkpoint)
+                       ResBlock, StepLR, central_difference, gradcheck,
+                       load_checkpoint, save_checkpoint)
 
 
 SEEDS = range(10)
@@ -17,8 +17,8 @@ def test_linear_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = Linear(6, 4, rng)
     x = rng.standard_normal((3, 6))
-    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
-    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -26,8 +26,8 @@ def test_attention_head_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = AttentionHead(5, rng)
     x = rng.standard_normal((2, 5))
-    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
-    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -35,7 +35,7 @@ def test_fc_head_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = FcActivationHead(5, rng)
     x = rng.standard_normal((2, 5))
-    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -45,8 +45,8 @@ def test_lstm_gradcheck(seed):
     x = rng.standard_normal((2, 5, 3))
     f = lambda mod, a: mod(a)[0]
     b = lambda mod, g: mod.backward(grad_hs=g)
-    assert gradcheck(m, x, rng, f, b, n_checks=5) < 1e-4
-    assert gradcheck(m, x, rng, f, b, n_checks=8, wrt_input=True) < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -56,7 +56,7 @@ def test_lstm_final_hidden_gradcheck(seed):
     x = rng.standard_normal((1, 6, 3))
     f = lambda mod, a: mod(a)[1]
     b = lambda mod, g: mod.backward(grad_h_final=g)
-    assert gradcheck(m, x, rng, f, b, n_checks=5) < 1e-4
+    assert gradcheck(m, x, rng, f, b, n_checks=5).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -64,8 +64,8 @@ def test_conv2d_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = Conv2d(2, 3, stride=2 if seed % 2 else 1, rng=rng)
     x = rng.standard_normal((2, 2, 6, 8))
-    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
-    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 def test_gradcheck_that_compares_nothing_fails():
@@ -75,8 +75,10 @@ def test_gradcheck_that_compares_nothing_fails():
     for p in m.parameters().values():
         p.value[...] = 0.0
     x = rng.standard_normal((2, 4))
-    assert gradcheck(m, x, rng, lambda mod, a: np.abs(mod(a)),
-                     lambda mod, g: mod.backward(np.sign(mod(x)) * g)) == np.inf
+    r = gradcheck(m, x, rng, lambda mod, a: np.abs(mod(a)),
+                  lambda mod, g: mod.backward(np.sign(mod(x)) * g))
+    assert r.worst == np.inf
+    assert r.skipped == r.drawn == 4 + 3    # 4 weight elements, all 3 biases
 
 
 def test_gradcheck_reports_a_nan_gradient():
@@ -87,7 +89,26 @@ def test_gradcheck_reports_a_nan_gradient():
         mod.backward(g)
         mod.weight.grad[0, 0] = np.nan
 
-    assert np.isnan(gradcheck(m, rng.standard_normal((2, 4)), rng, bwd=bwd, n_checks=12))
+    assert np.isnan(gradcheck(m, rng.standard_normal((2, 4)), rng, bwd=bwd, n_checks=12).worst)
+
+
+def test_gradcheck_refuses_a_float32_module():
+    rng = np.random.default_rng(0)
+    m = Linear(4, 3, rng).cast(np.float32)
+    with pytest.raises(TypeError, match="float64"):
+        gradcheck(m, rng.standard_normal((2, 4)), rng)
+
+
+def test_a_kink_with_a_small_slope_change_is_flagged():
+    # 5e-4 |x - 2e-7| + x: its slope changes by 1e-3 at 2e-7, inside the
+    # +-1e-6 steps, so the central quotient misses the slope at 0 (0.9995)
+    # by 4e-4, over the 1e-4 bound. The one-sided quotients differ by 8e-4
+    # relative, which a 1e-3 threshold would let through.
+    x = np.array([0.0])
+    f = lambda: 5e-4 * abs(x[0] - 2e-7) + x[0]
+    fd, kink = central_difference(f, x, 0, 1e-6)
+    assert abs(fd - 0.9995) > 1e-4
+    assert kink
 
 
 def _direct_conv(x, w, b, stride, pad):
@@ -124,7 +145,7 @@ def test_resblock_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = ResBlock(3, 5, stride=2, rng=rng)
     x = rng.standard_normal((1, 3, 8, 8))
-    assert gradcheck(m, x, rng, n_checks=3) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=3).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -133,7 +154,7 @@ def test_encoder_gradcheck(seed):
     m = MapEncoder((3, 4, 5), 7, rng=rng)
     m.set_training(False)
     x = rng.standard_normal((1, 6, 8, 16))
-    assert gradcheck(m, x, rng, n_checks=2, eps=1e-5) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=2, eps=1e-5).worst < 1e-4
 
 
 def test_channelnorm_gradcheck():
@@ -142,8 +163,8 @@ def test_channelnorm_gradcheck():
     m.running_mean[:] = rng.standard_normal(3)
     m.running_var[:] = rng.uniform(0.5, 2.0, 3)
     x = rng.standard_normal((2, 3, 4, 4))
-    assert gradcheck(m, x, rng, n_checks=5) < 1e-4
-    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True) < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 def test_channelnorm_updates_running_stats_in_training():
@@ -190,6 +211,54 @@ def test_attention_head_formula():
 def test_zero_init_linear_outputs_zero():
     m = Linear(4, 3, zero_init=True)
     assert np.count_nonzero(m(np.ones((2, 4)))) == 0
+
+
+def test_linear_without_rng_names_it():
+    with pytest.raises(TypeError, match="rng"):
+        Linear(3, 2)
+
+
+FLOAT32_LAYERS = {
+    "linear": (lambda rng: Linear(5, 4, rng), (3, 5)),
+    "lstm": (lambda rng: LSTM(3, 4, rng), (2, 5, 3)),
+    "conv2d": (lambda rng: Conv2d(2, 3, stride=2, rng=rng), (2, 2, 6, 8)),
+    "channel-norm": (lambda rng: ChannelNorm(3), (2, 3, 4, 4)),
+    "map-encoder": (lambda rng: MapEncoder((3, 4, 5), 7, rng=rng), (1, 6, 8, 16)),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT32_LAYERS)
+def test_layer_computes_in_its_parameters_dtype(name):
+    # a float64 input to a cast layer: outputs, input gradients, parameter
+    # gradients and buffers all stay float32, and so does training mode
+    build, shape = FLOAT32_LAYERS[name]
+    rng = np.random.default_rng(0)
+    m = build(rng).cast(np.float32)
+    m.set_training(True)
+    x = rng.standard_normal(shape)
+    out = m(x)
+    if name == "lstm":
+        out, h = out
+        assert h.dtype == np.float32
+        gx = m.backward(grad_hs=np.ones(out.shape, np.float32))
+    else:
+        gx = m.backward(np.ones(out.shape, np.float32))
+    assert out.dtype == gx.dtype == np.float32
+    for k, v in {**{k: p.grad for k, p in m.parameters().items()}, **m.state_arrays()}.items():
+        assert v.dtype == np.float32, k
+
+
+def test_cast_rounds_every_array_once():
+    rng = np.random.default_rng(0)
+    m = ResBlock(3, 5, stride=2, rng=rng)
+    m.norm1.running_var[:] = rng.uniform(0.5, 2.0, 5)
+    rounded = {k: v.astype(np.float32) for k, v in m.state_arrays().items()}
+    for dtype in (np.float32, np.float64):     # and back, exactly
+        m.cast(dtype)
+        for k, v in m.state_arrays().items():
+            assert v.dtype == dtype, k
+            np.testing.assert_array_equal(v, rounded[k], err_msg=k)
+        assert all(p.grad.dtype == dtype for p in m.parameters().values())
 
 
 def test_encoder_rejects_tiny_maps():
@@ -277,11 +346,25 @@ class TestCheckpoint:
 
     def test_float32_precision(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        vals = np.array([1.0 / 3.0, 2.0 / 3.0])
-        save_checkpoint(path, {"w": vals}, precision="float32")
+        vals = np.array([1.0 / 3.0, 2.0 / 3.0], dtype=np.float32)
+        save_checkpoint(path, {"w": vals, "b": vals[::-1]})
         loaded, _, precision = load_checkpoint(path)
         assert precision == "float32"
-        np.testing.assert_array_equal(loaded["w"], vals.astype(np.float32))
+        assert loaded["w"].dtype == loaded["b"].dtype == np.float32
+        np.testing.assert_array_equal(loaded["w"], vals)
+        np.testing.assert_array_equal(loaded["b"], vals[::-1])
+
+    def test_mixed_precision_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="one dtype"):
+            save_checkpoint(tmp_path / "m.ckpt", {"a": np.zeros(2), "b": np.zeros(2, np.float32)})
+
+    def test_rejects_unknown_precision(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        path.write_bytes(path.read_bytes().replace(b'"precision": "float64"',
+                                                   b'"precision": "float16"'))
+        with pytest.raises(ValueError, match="float16"):
+            load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
