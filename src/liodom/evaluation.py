@@ -48,11 +48,6 @@ def accumulate(relative_poses) -> list[Pose]:
     return absolute
 
 
-def trajectory_deltas(absolute) -> list[Pose]:
-    """Inverse of accumulate: relative poses between consecutive frames."""
-    return [compose(absolute[i].inverse(), absolute[i + 1]) for i in range(len(absolute) - 1)]
-
-
 def path_lengths(poses) -> np.ndarray:
     """Path length (m) travelled from the first pose to each pose."""
     ts = np.array([p.t for p in poses])

@@ -121,6 +121,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # at most half this gap, so 2e-5 keeps it at 1e-5, a tenth of the 1e-4 bound
 # every caller holds backward to; smooth elements agree to about 3e-8.
 KINK_GAP = 2e-5
+# Share of its drawn elements a check may skip at kinks and still pass: one
+# that skips more has compared too little of the gradient to vouch for it.
+MAX_SKIP_SHARE = 0.1
 
 
 def central_difference(f, x: np.ndarray, index, eps: float):
@@ -148,6 +151,12 @@ class GradcheckResult(NamedTuple):
     worst: float       # worst relative error over the compared elements
     skipped: int       # drawn elements flagged as straddling a kink
     drawn: int
+
+    @property
+    def ok(self) -> bool:
+        """worst below the 1e-4 bound, with at most MAX_SKIP_SHARE of the
+        drawn elements skipped."""
+        return self.worst < 1e-4 and self.skipped <= MAX_SKIP_SHARE * self.drawn
 
 
 def gradcheck(module: Module, x: np.ndarray, rng: np.random.Generator, fwd=None, bwd=None,

@@ -12,6 +12,8 @@ residual. Gradients are not propagated through the discrete remap.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -391,6 +393,21 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
     )
 
 
+def _pool_map(fn, items) -> list:
+    """[fn(item) for item in items], on one worker thread per CPU this process
+    may run on, with the results in input order.
+
+    Threads pay off only where fn spends its time in native code that
+    releases the GIL: cKDTree queries, BLAS and numpy's large array loops.
+    The first exception raised by any call reaches the caller.
+    """
+    # Platforms without CPU affinity report every CPU instead.
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
                       clouds=None) -> list[FramePair]:
     """Assemble FramePairs from sensor-frame scans.
@@ -398,7 +415,8 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
     `scans` is a list of (N, 3) arrays (or objects with .points/.normals
     such as synthetic scenes). Loss-side clouds may be passed precomputed;
     otherwise scans with analytic normals use them directly and raw arrays
-    go through the full preprocess pipeline.
+    go through the full preprocess pipeline, one scan per worker thread
+    (`_pool_map`). Every other stage runs in-line.
     """
     from .preprocess import adaptive_voxel_downsample, preprocess_cloud
 
@@ -410,12 +428,10 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
         vm = project(points_of(s), cfg.projection)
         maps.append((vm, compute_normal_map(vm)))
     if clouds is None:
-        clouds = []
-        for s in scans:
-            if hasattr(s, "normals"):
-                clouds.append(adaptive_voxel_downsample(points_of(s), s.normals, cfg.voxel))
-            else:
-                clouds.append(preprocess_cloud(points_of(s), cfg.voxel))
+        raw = iter(_pool_map(lambda s: preprocess_cloud(points_of(s), cfg.voxel),
+                             [s for s in scans if not hasattr(s, "normals")]))
+        clouds = [adaptive_voxel_downsample(points_of(s), s.normals, cfg.voxel)
+                  if hasattr(s, "normals") else next(raw) for s in scans]
     pairs = []
     for k in range(len(scans) - 1):
         pairs.append(FramePair(
@@ -434,30 +450,32 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     Modes: learned (network only), classical (registration from identity),
     hybrid (registration warm-started from the learned pose). A pair whose
     registration fails keeps its initial pose (identity in classical mode,
-    the learned pose in hybrid) and is flagged.
+    the learned pose in hybrid) and is flagged. The model's estimates run
+    one pair after another, as its layers cache activations; the
+    registrations then run one pair per worker thread (`_pool_map`).
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("learned", "hybrid") and model is None:
         raise ValueError(f"mode {mode!r} needs a model")
-    relatives = []
-    flags = []
-    for fp in pairs:
-        init = Pose.identity()
-        if mode in ("learned", "hybrid"):
-            init, _ = estimate_pair(fp, model, cfg)
-        if mode == "learned":
-            relatives.append(init)
-            flags.append("ok")
-            continue
+    from .evaluation import accumulate
+
+    if mode == "classical":
+        inits = [Pose.identity()] * len(pairs)
+    else:
+        inits = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
+    if mode == "learned":
+        return accumulate(inits), inits, ["ok"] * len(inits)
+
+    def register_pair(pair_init):
+        fp, init = pair_init
         try:
             pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init,
                                max_match_dist=cfg.max_match_dist, weights=cfg.weights)
-            relatives.append(pose)
-            flags.append("ok")
+            return pose, "ok"
         except RegistrationError as exc:
-            relatives.append(exc.pose)
-            flags.append("registration-failed")
-    from .evaluation import accumulate
+            return exc.pose, "registration-failed"
 
-    return accumulate(relatives), relatives, flags
+    results = _pool_map(register_pair, zip(pairs, inits))
+    relatives = [pose for pose, _ in results]
+    return accumulate(relatives), relatives, [flag for _, flag in results]

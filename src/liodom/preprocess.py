@@ -24,6 +24,7 @@ RANSAC_THRESHOLD = 0.1       # m, point-to-plane distance of a ground inlier
 RANSAC_ITERATIONS = 100      # plane hypotheses drawn
 MIN_INLIER_FRACTION = 0.2    # inlier share below which there is no ground
 RANSAC_BLOCK = 16            # plane hypotheses scored by one matmul
+ROW_BLOCK = 2048             # plane-fit centres, or RANSAC points, per block of temporaries
 CLOSED_FORM_MIN_GAP = 1e-3   # relative eigenvalue gap below which plane-fit uses eigh
 
 
@@ -101,15 +102,18 @@ def _smallest_eigenvectors(cov: np.ndarray):
     return vectors, valid
 
 
-def _neighbourhoods(points: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
-    """Indices into `points` of each query's k+1 nearest points, (M, k+1).
+def _neighbourhoods(points: np.ndarray, k: int, queries: np.ndarray):
+    """Per block of ROW_BLOCK queries: (its rows of `queries`, the indices into
+    `points` of each query's k+1 nearest points, (m, k+1)).
 
-    A query that is one of `points` finds itself first. Exact; the tree
-    splits at sliding midpoints, which builds faster than median splits on
-    scan clouds.
+    A query that is one of `points` finds itself first. Exact; one tree
+    serves every block, and it splits at sliding midpoints, which builds
+    faster than median splits on scan clouds.
     """
-    _, nbr = cKDTree(points, balanced_tree=False).query(queries, k=k + 1)
-    return nbr
+    tree = cKDTree(points, balanced_tree=False)
+    for start in range(0, len(queries), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        yield rows, tree.query(queries[rows], k=k + 1)[1]
 
 
 def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K, at=None):
@@ -120,18 +124,23 @@ def estimate_normals_planefit(points: np.ndarray, k: int = PLANEFIT_K, at=None):
     (normals, valid); rank-deficient neighborhoods are marked invalid.
     `at` (row indices, default all rows) picks the points that get a
     normal; their neighbours are searched among all `points`, so row i of
-    the result is row at[i] of the all-rows result, bit for bit.
+    the result is row at[i] of the all-rows result, bit for bit. Every row
+    is computed on its own, so working in blocks of ROW_BLOCK centres bounds
+    the temporaries without changing a bit of the result.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if k < 3 or n <= k:
         raise ValueError(f"need more than k={k} >= 3 points, got {n}")
     centres = points if at is None else points[np.asarray(at, dtype=np.intp)]
-    neigh = points[_neighbourhoods(points, k, centres)]   # (M, k+1, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = centered.transpose(0, 2, 1) @ centered
-    cov /= k + 1
-    normals, valid = _smallest_eigenvectors(cov)
+    normals = np.empty((len(centres), 3))
+    valid = np.empty(len(centres), dtype=bool)
+    for rows, nbr in _neighbourhoods(points, k, centres):
+        neigh = points[nbr]                                # (m, k+1, 3)
+        centered = neigh - neigh.mean(axis=1, keepdims=True)
+        cov = centered.transpose(0, 2, 1) @ centered
+        cov /= k + 1
+        normals[rows], valid[rows] = _smallest_eigenvectors(cov)
     flip = np.einsum("ni,ni->n", normals, centres) > 0
     normals[flip] *= -1.0
     normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-30)
@@ -150,7 +159,9 @@ def ransac_ground_removal(
     Reads positions only: each hypothesis is a plane through three distinct
     points drawn from all of `points`. If the best plane's inlier fraction of
     all `points` is below `min_inlier_fraction`, there is no dominant ground
-    and every point is kept.
+    and every point is kept. Hypotheses are scored RANSAC_BLOCK at a time by
+    one matmul per block of ROW_BLOCK points, whose integer inlier counts
+    add up exactly; the winner's mask is rebuilt from the same matmuls.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -166,23 +177,32 @@ def ransac_ground_removal(
             continue
         anchors.append(points[i])
         plane_normals.append(plane_n / norm)
-    best_inliers = None
-    best_count = -1
-    # One matmul scores a block of planes: |p . n - anchor . n| per point.
+    plane_normals = np.reshape(plane_normals, (-1, 3))
+    anchors = np.reshape(anchors, (-1, 3))
+    best, best_count = None, -1      # (rows of a block of planes, column) of the best count
     for start in range(0, len(plane_normals), RANSAC_BLOCK):
-        block = np.array(plane_normals[start:start + RANSAC_BLOCK])
-        offsets = np.einsum("bi,bi->b", np.array(anchors[start:start + RANSAC_BLOCK]), block)
-        dist = points @ block.T
-        dist -= offsets
-        inliers = np.abs(dist, out=dist) < distance_threshold
-        counts = inliers.sum(axis=0)
+        block = slice(start, start + RANSAC_BLOCK)
+        counts = sum(inliers.sum(axis=0) for inliers in _plane_inliers(
+            points, plane_normals[block], anchors[block], distance_threshold))
         k = int(np.argmax(counts))     # the first of a tie, as in draw order
         if counts[k] > best_count:
             best_count = int(counts[k])
-            best_inliers = inliers[:, k]
-    if best_inliers is None or best_count < min_inlier_fraction * n:
+            best = (block, k)
+    if best is None or best_count < min_inlier_fraction * n:
         return np.ones(n, dtype=bool)
-    return ~best_inliers
+    block, k = best
+    return ~np.concatenate([inliers[:, k] for inliers in _plane_inliers(
+        points, plane_normals[block], anchors[block], distance_threshold)])
+
+
+def _plane_inliers(points, normals, anchors, distance_threshold):
+    """Per block of ROW_BLOCK points, their (m, b) inlier masks of b planes:
+    |p . n - anchor . n| < distance_threshold, from one matmul."""
+    offsets = np.einsum("bi,bi->b", anchors, normals)
+    for start in range(0, len(points), ROW_BLOCK):
+        dist = points[start:start + ROW_BLOCK] @ normals.T
+        dist -= offsets
+        yield np.abs(dist, out=dist) < distance_threshold
 
 
 def _voxel_keys(points: np.ndarray, side: float, bounds):

@@ -151,20 +151,6 @@ def imu_records(poses, times) -> np.ndarray:
     return records
 
 
-def synthesize_imu(poses, times, scan_times=None, S: int = 15) -> list[np.ndarray]:
-    """One (S, 6) inertial window per consecutive scan pair.
-
-    scan_times defaults to the trajectory endpoints (a single window).
-    """
-    from .dataset_io import window_imu
-
-    times = np.asarray(times, dtype=float)
-    records = imu_records(poses, times)
-    if scan_times is None:
-        scan_times = np.array([times[0] - 1e-9, times[-1]])
-    return window_imu(records, times, np.asarray(scan_times, dtype=float), S=S)
-
-
 def random_scene_pair(seed: int, max_translation: float = 0.5,
                       max_rotation_deg: float = 5.0, sigma: float = 0.0,
                       density: float = 40.0):

@@ -10,7 +10,7 @@ from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
 from liodom.dataset_io import read_poses, write_poses
 from liodom.geometry import Pose
-from liodom.nn import gradcheck
+from liodom.nn import GradcheckResult, gradcheck
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -359,6 +359,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert re.search(r"^pose-loss .* ok$", out, re.MULTILINE)
         assert re.search(r"^composed-pose .* FAIL$", out, re.MULTILINE)
+
+    def test_gradcheck_fails_an_entry_that_skips_over_a_tenth(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gradient_suite", lambda rng: {
+            "tenth": GradcheckResult(1e-9, 2, 20), "over": GradcheckResult(1e-9, 3, 20)})
+        assert main(["gradcheck"]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^tenth .* ok$", out, re.MULTILINE)
+        assert re.search(r"^over .* FAIL$", out, re.MULTILINE)
 
     def test_gradcheck_checks_float64_modules(self, monkeypatch):
         dtypes = set()

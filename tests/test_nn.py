@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liodom.nn import (Adam, AttentionHead, ChannelNorm, Conv2d,
-                       FcActivationHead, Linear, LSTM, MapEncoder, Param,
+                       FcActivationHead, Linear, LSTM, MapEncoder, Module, Param,
                        ResBlock, StepLR, central_difference, gradcheck,
                        load_checkpoint, save_checkpoint)
 
@@ -79,6 +79,21 @@ def test_gradcheck_that_compares_nothing_fails():
                   lambda mod, g: mod.backward(np.sign(mod(x)) * g))
     assert r.worst == np.inf
     assert r.skipped == r.drawn == 4 + 3    # 4 weight elements, all 3 biases
+
+
+def test_gradcheck_that_skips_over_a_tenth_of_its_draws_fails():
+    # abs at three of twenty inputs that sit exactly on its kink: the other
+    # seventeen agree, yet 3 of 20 skipped is more than MAX_SKIP_SHARE
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.5, 2.0, 20) * rng.choice([-1.0, 1.0], 20)
+    for on_kink, skipped, ok in ((3, 3, False), (2, 2, True)):
+        x[:on_kink] = 0.0
+        sign = np.sign(x)
+        r = gradcheck(Module(), x, rng, lambda _, a: np.abs(a), lambda _, g: g * sign,
+                      n_checks=x.size, wrt_input=True)
+        assert r.worst < 1e-8 and (r.skipped, r.drawn) == (skipped, 20)
+        assert r.ok is ok
+        x[:on_kink] = rng.uniform(0.5, 2.0, on_kink)
 
 
 def test_gradcheck_reports_a_nan_gradient():

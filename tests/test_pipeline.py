@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from liodom.pipeline import (HEAD_MODES, IMU_MODES, OdometryModel, PipelineConfi
                              TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
-from liodom.preprocess import VoxelParams
+from liodom.preprocess import VoxelParams, preprocess_cloud
 from liodom.range_image import ProjectionConfig, compute_normal_map, project, remap
+from liodom.registration import RegistrationError, register
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
-from liodom.synth import sample_scene, scan_from_pose, synthesize_imu
+from liodom.dataset_io import window_imu
+from liodom.synth import imu_records, sample_scene, scan_from_pose
 
 TINY = PipelineConfig(
     feature_dim=16, encoder_widths=(2, 3, 4), lstm_hidden=8,
@@ -49,7 +52,7 @@ def _pairs(cfg, n_frames=3, speed=0.15, yaw_rate=0.05):
     dense_t = np.arange(n_frames * 15 + 1) * (0.1 / 15)
     dense_p = [Pose(q=[0.0, 0.0, yaw_rate * t], t=[speed * t / 0.1, 0.0, 0.0])
                for t in dense_t]
-    imu = synthesize_imu(dense_p, dense_t, scan_times=times, S=15)
+    imu = window_imu(imu_records(dense_p, dense_t), dense_t, times, S=15)
     return build_frame_pairs(scans, cfg, imu_windows=imu), poses
 
 
@@ -333,6 +336,58 @@ class TestRunSequence:
         absolute, _, _ = run_sequence(pairs, "learned", cfg, model=model)
         for p in absolute:
             np.testing.assert_allclose(p.matrix, np.eye(4), atol=0)
+
+
+class TestPooledStages:
+    """Pooled stages give the serial results, in order, on more workers than
+    the host may have CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def four_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    def test_raw_scans_equal_per_scan_preprocess(self):
+        cfg = _tiny_cfg()
+        scene = _scene()
+        scans = [scan_from_pose(scene, Pose(q=[0.0, 0.0, 0.05 * k], t=[0.15 * k, 0.0, 0.0])).points
+                 for k in range(5)]
+        pairs = build_frame_pairs(scans, cfg)
+        clouds = [pairs[0].last_cloud] + [fp.cur_cloud for fp in pairs]
+        for got, scan in zip(clouds, scans, strict=True):
+            want = preprocess_cloud(scan, cfg.voxel)
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.normals, want.normals)
+            assert (got.side_length, got.passes, got.met_target) == (
+                want.side_length, want.passes, want.met_target)
+
+    def test_a_failing_scan_raises_to_the_caller(self):
+        cfg = _tiny_cfg()
+        good = scan_from_pose(_scene(), Pose.identity()).points
+        with pytest.raises(ValueError, match="need more than k=10"):
+            build_frame_pairs([good, good[:5], good], cfg)    # too few points to plane-fit
+
+    @pytest.mark.parametrize("mode", ["classical", "hybrid"])
+    def test_registrations_keep_pair_order_and_flags(self, mode):
+        cfg = _tiny_cfg(imu_mode="none")
+        pairs, _ = _pairs(cfg, n_frames=4)
+        moved = transformed_cloud(pairs[1].cur_cloud, Pose(t=np.array([100.0, 0.0, 0.0])))
+        pairs[1] = dataclasses.replace(pairs[1], cur_cloud=moved)    # nothing in match range
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = [0.02, -0.01, 0.0]
+        want, want_flags = [], []
+        for fp in pairs:
+            init = Pose.identity() if mode == "classical" else estimate_pair(fp, model, cfg)[0]
+            try:
+                want.append(register(fp.cur_cloud, fp.last_cloud, init=init,
+                                     max_match_dist=cfg.max_match_dist, weights=cfg.weights)[0])
+                want_flags.append("ok")
+            except RegistrationError as exc:
+                want.append(exc.pose)
+                want_flags.append("registration-failed")
+        _, relatives, flags = run_sequence(pairs, mode, cfg, model=model)
+        assert flags == want_flags == ["ok", "registration-failed", "ok"]
+        for got, pose in zip(relatives, want, strict=True):
+            np.testing.assert_array_equal(got.matrix, pose.matrix)
 
 
 class TestPrecision:

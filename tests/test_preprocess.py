@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from liodom import preprocess
-from liodom.preprocess import (RANSAC_BLOCK, VoxelParams, _neighbourhoods,
+from liodom.preprocess import (RANSAC_BLOCK, ROW_BLOCK, VoxelParams, _neighbourhoods,
                                _smallest_eigenvectors,
                                adaptive_voxel_downsample,
                                estimate_normals_planefit, preprocess_cloud,
@@ -127,7 +128,7 @@ class TestPlanefitMatchesEighOracle:
         # which ties cannot reorder
         points = np.round(rng.uniform(-3.0, 3.0, (400, 3)), 1)
         k = 10
-        nbr = _neighbourhoods(points, k, points)
+        nbr = np.concatenate([block for _, block in _neighbourhoods(points, k, points)])
         got = np.sort(np.linalg.norm(points[nbr] - points[:, None], axis=2), axis=1)
         brute = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)
         np.testing.assert_array_equal(got, brute[:, :k + 1])
@@ -162,6 +163,36 @@ class TestPlanefitAtRows:
         assert got_normals.shape == (len(idx), 3) and got_valid.shape == (len(idx),)
         np.testing.assert_array_equal(got_normals, normals[idx])
         np.testing.assert_array_equal(got_valid, valid[idx])
+
+
+def _unblocked_planefit(points, k, centres):
+    """The module's plane-fit formula over all centres at once: one query, one
+    covariance stack, one eigenvector pass."""
+    _, nbr = cKDTree(points, balanced_tree=False).query(centres, k=k + 1)
+    neigh = points[nbr]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = centered.transpose(0, 2, 1) @ centered
+    cov /= k + 1
+    normals, valid = _smallest_eigenvectors(cov)
+    normals[np.einsum("ni,ni->n", normals, centres) > 0] *= -1.0
+    normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-30)
+    return normals, valid
+
+
+@pytest.mark.parametrize("m", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("rows", ["at", "all"])
+def test_planefit_blocks_equal_unblocked_formula(m, rows):
+    rng = np.random.default_rng(m)
+    n = m if rows == "all" else m + 700
+    # A line beside a blob: the line's collinear rows take eigh and are invalid.
+    line = np.array([2.0, 1.0, -1.0]) + np.outer(rng.uniform(-5.0, 5.0, n // 4), [0.6, 0.0, 0.8])
+    points = np.vstack([line, rng.uniform(-1.0, 1.0, (n - n // 4, 3)) + [8.0, 0.0, 0.0]])
+    at = None if rows == "all" else rng.permutation(n)[:m]
+    normals, valid = estimate_normals_planefit(points, at=at)
+    want_normals, want_valid = _unblocked_planefit(points, 10, points if at is None else points[at])
+    assert valid.shape == (m,) and valid.any() and not valid.all()
+    np.testing.assert_array_equal(valid, want_valid)
+    np.testing.assert_array_equal(normals, want_normals)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,23 +243,29 @@ class TestRansacGround:
         assert len(kept_p) == len(pts)
 
 
+def _drawn_planes(points, iterations, seed):
+    """(anchor, unit normal) of each non-degenerate plane RANSAC draws, in order."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(iterations):
+        i, j, l = rng.choice(len(points), size=3, replace=False)
+        plane_n = np.cross(points[j] - points[i], points[l] - points[i])
+        norm = np.linalg.norm(plane_n)
+        if norm >= 1e-12:
+            planes.append((points[i], plane_n / norm))
+    return planes
+
+
 def _reference_ransac(points, distance_threshold=0.1, iterations=100,
                       min_inlier_fraction=0.2, seed=0):
     """RANSAC keep mask, scored one hypothesis at a time, keeping the first best count."""
     n = len(points)
     if n < 3:
         return np.ones(n, dtype=bool)
-    rng = np.random.default_rng(seed)
     best_inliers = None
     best_count = -1
-    for _ in range(iterations):
-        i, j, l = rng.choice(n, size=3, replace=False)
-        plane_n = np.cross(points[j] - points[i], points[l] - points[i])
-        norm = np.linalg.norm(plane_n)
-        if norm < 1e-12:
-            continue
-        plane_n = plane_n / norm
-        inliers = np.abs((points - points[i]) @ plane_n) < distance_threshold
+    for anchor, plane_n in _drawn_planes(points, iterations, seed):
+        inliers = np.abs((points - anchor) @ plane_n) < distance_threshold
         count = int(inliers.sum())
         if count > best_count:
             best_count = count
@@ -259,6 +296,62 @@ def _ransac_cloud(kind, rng):
     if kind == "all-collinear":
         return np.outer(np.arange(50.0), [0.5, -1.0, 2.0])
     raise ValueError(kind)
+
+
+def _unblocked_ransac(points, distance_threshold=0.1, iterations=100,
+                      min_inlier_fraction=0.2, seed=0):
+    """RANSAC scored RANSAC_BLOCK hypotheses at a time by one matmul over all
+    points. Returns (keep mask, every hypothesis's (count, anchor) in draw order)."""
+    n = len(points)
+    planes = _drawn_planes(points, iterations, seed)
+    best_inliers, best_count, scored = None, -1, []
+    for start in range(0, len(planes), RANSAC_BLOCK):
+        block_anchors, block = map(np.array, zip(*planes[start:start + RANSAC_BLOCK]))
+        offsets = np.einsum("bi,bi->b", block_anchors, block)
+        inliers = np.abs(points @ block.T - offsets) < distance_threshold
+        counts = inliers.sum(axis=0)
+        scored += zip(counts.tolist(), block_anchors)
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count, best_inliers = int(counts[k]), inliers[:, k]
+    if best_inliers is None or best_count < min_inlier_fraction * n:
+        return np.ones(n, dtype=bool), scored
+    return ~best_inliers, scored
+
+
+class TestRansacBlocksEqualUnblockedScorer:
+    """Clouds of more points than one ROW_BLOCK, and not a multiple of it."""
+
+    def test_removes_the_same_ground(self):
+        rng = np.random.default_rng(0)
+        ground = _plane_points(rng, [0.05, 0.0, 1.0], -1.6, n=3500, extent=15.0, sigma=0.02)
+        wall = _plane_points(rng, [1.0, 0.0, 0.0], 8.0, n=1501, extent=3.0, sigma=0.02)
+        points = np.vstack([ground, wall + [0.0, 0.0, 2.0]])
+        want, _ = _unblocked_ransac(points)
+        assert 3000 < np.count_nonzero(~want) < 4000
+        np.testing.assert_array_equal(ransac_ground_removal(points), want)
+
+    def test_tie_goes_to_the_first_drawn_plane(self):
+        # Exact planes z = 0 and z = 5 of 1500 points each, and 1100 points
+        # between them that neither plane's band reaches: every hypothesis
+        # drawn within one plane counts exactly 1500.
+        rng = np.random.default_rng(1)
+        planes = [np.column_stack([rng.uniform(-10, 10, (1500, 2)), np.full(1500, z)])
+                  for z in (0.0, 5.0)]
+        between = np.column_stack([rng.uniform(-10, 10, (1100, 2)), rng.uniform(1, 4, 1100)])
+        points = np.vstack(planes + [between])
+        want, scored = _unblocked_ransac(points, seed=3)
+        tied = [anchor[2] for count, anchor in scored if count == 1500]
+        assert set(tied) == {0.0, 5.0} and max(count for count, _ in scored) == 1500
+        removed = points[~want]
+        assert len(removed) == 1500 and (removed[:, 2] == tied[0]).all()
+        np.testing.assert_array_equal(ransac_ground_removal(points, seed=3), want)
+
+    def test_no_ground_keeps_every_point(self):
+        points = np.random.default_rng(2).uniform(-10, 10, (3001, 3))
+        want, _ = _unblocked_ransac(points)
+        assert want.all()
+        np.testing.assert_array_equal(ransac_ground_removal(points), want)
 
 
 class TestRansacMatchesPerHypothesisLoop:

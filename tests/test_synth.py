@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from liodom.dataset_io import window_imu
 from liodom.geometry import Pose, compose, euler_to_matrix
 from liodom.synth import (Box, GRAVITY, Plane, SceneSpec, corridor_sequence,
                           imu_records, random_scene_pair, sample_scene,
-                          scan_from_pose, synthesize_imu)
+                          scan_from_pose)
 
 
 def test_plane_samples_lie_on_plane():
@@ -88,8 +89,7 @@ class TestImu:
     def test_synthesize_windows_shape(self):
         times = np.arange(31) * 0.01
         poses = [Pose(q=[0, 0, 0.1 * t], t=[t, 0, 0]) for t in times]
-        wins = synthesize_imu(poses, times, scan_times=np.array([0.0, 0.15, 0.30]),
-                              S=15)
+        wins = window_imu(imu_records(poses, times), times, np.array([0.0, 0.15, 0.30]), S=15)
         assert len(wins) == 2
         assert all(w.shape == (15, 6) for w in wins)
 
