@@ -21,9 +21,10 @@ import numpy as np
 
 from .config import (ABLATION_PRESETS, ConfigError, config_to_dict,
                      dump_config, load_config)
-from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
-                         read_oxts, read_poses, read_velodyne_bin, window_imu,
-                         write_oxts, write_poses, write_velodyne_bin)
+from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib, read_cloud,
+                         read_oxts, read_poses, read_times, read_velodyne_bin,
+                         window_imu, write_cloud, write_oxts, write_poses,
+                         write_velodyne_bin)
 from .evaluation import SEGMENT_LENGTHS, kitti_relative_errors, path_lengths
 from .geometry import Pose
 from .matching import (CorrespondenceSet, EmptyMatchError, LossWeights,
@@ -81,35 +82,19 @@ def _add_config_flags(p):
                    help="override a single config value (repeatable)")
 
 
-def _load_scan_points(path: Path) -> np.ndarray:
-    if path.suffix == ".npz":
-        with np.load(path) as z:
-            return np.asarray(z["points"], dtype=float)
-    return read_velodyne_bin(path)[:, :3]
-
-
 def _load_cloud(path: Path, cfg):
     """A loss-side cloud from either a preprocessed .npz or a raw scan."""
     if path.suffix == ".npz":
-        with np.load(path) as z:
-            if "normals" in z:
-                return PreprocessedCloud(
-                    points=np.asarray(z["points"], dtype=float),
-                    normals=np.asarray(z["normals"], dtype=float),
-                    met_target=bool(z.get("met_target", True)),
-                    side_length=float(z.get("side_length", cfg.voxel.side_length)),
-                    passes=int(z.get("passes", 0)))
-    return preprocess_cloud(_load_scan_points(path), cfg.voxel)
+        return read_cloud(path)
+    return preprocess_cloud(read_velodyne_bin(path)[:, :3], cfg.voxel)
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
-    cloud = preprocess_cloud(_load_scan_points(args.input), cfg.voxel)
-    np.savez(args.output, points=cloud.points, normals=cloud.normals,
-             met_target=cloud.met_target, side_length=cloud.side_length,
-             passes=cloud.passes)
+    cloud = preprocess_cloud(read_velodyne_bin(args.input)[:, :3], cfg.voxel)
+    write_cloud(args.output, cloud)
     dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
     print(f"{len(cloud.points)} points, voxel side {cloud.side_length:.3f} m "
           f"({cloud.passes} passes, target {'met' if cloud.met_target else 'missed'})")
@@ -159,19 +144,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_sequence(data_dir: Path, cfg):
-    """Frame pairs of a KITTI-format sequence; warns about clouds that missed
-    the voxel target."""
+def _load_sequence(data_dir: Path, cfg, network: bool):
+    """Frame pairs of a KITTI-format sequence, checked as it is read; warns
+    about clouds that missed the voxel target. `network`: the model reads the
+    pairs, so an IMU mode other than none needs oxts/ records."""
     scans = sorted((data_dir / "velodyne").glob("*.bin"))
     if not scans:
         raise FormatError(f"{data_dir}: no velodyne/*.bin scans")
-    points = [read_velodyne_bin(p)[:, :3] for p in scans]
-    scan_times = np.loadtxt(data_dir / "times.txt")
+    scan_times = read_times(data_dir / "times.txt")
+    if len(scan_times) != len(scans):
+        raise FormatError(f"{data_dir / 'times.txt'}: {len(scan_times)} times "
+                          f"for {len(scans)} scans")
     imu_windows = None
     if (data_dir / "oxts").is_dir():
         records = read_oxts(data_dir / "oxts")
-        record_times = np.loadtxt(data_dir / "oxts_times.txt")
+        record_times = read_times(data_dir / "oxts_times.txt")
+        if len(record_times) != len(records):
+            raise FormatError(f"{data_dir / 'oxts_times.txt'}: {len(record_times)} times "
+                              f"for {len(records)} OXTS records")
         imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
+    elif network and cfg.imu_mode != "none":
+        raise FormatError(f"imu_mode {cfg.imu_mode!r} needs oxts/ records in {data_dir}")
+    points = [read_velodyne_bin(p)[:, :3] for p in scans]
     pairs = build_frame_pairs(points, cfg, imu_windows=imu_windows)
     _warn_missed_targets([fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs])
     return pairs
@@ -181,9 +175,7 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = _load_sequence(Path(args.data), cfg)
-    if cfg.imu_mode != "none" and pairs[0].imu is None:
-        raise FormatError(f"imu_mode {cfg.imu_mode!r} needs oxts/ records in {args.data}")
+    pairs = _load_sequence(Path(args.data), cfg, network=True)
     model = OdometryModel(cfg)
     optimizer = Adam(model.parameters(), lr=cfg.train.learning_rate,
                      betas=(cfg.train.beta1, cfg.train.beta2),
@@ -226,7 +218,7 @@ def cmd_infer(args) -> int:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{args.checkpoint} does not fit the resolved config: "
                               f"{exc}") from exc
-    pairs = _load_sequence(Path(args.data), cfg)
+    pairs = _load_sequence(Path(args.data), cfg, network=args.mode != "classical")
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     failed = flags.count("registration-failed")
     if failed:

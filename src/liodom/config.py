@@ -8,7 +8,8 @@ IMU window 15, loss weights alpha=1.0 lambda=0.1, voxel side 0.3 m with
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+import math
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import yaml
@@ -23,12 +24,17 @@ class ConfigError(ValueError):
     pass
 
 
-# Sections and their keys are the config dataclasses' fields; the loss
-# weights appear as pipeline.alpha and pipeline.lam.
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# Sections and their keys are the config dataclasses' fields with a plain
+# default, which also types the key's values; the loss weights appear as
+# pipeline.alpha and pipeline.lam.
 _NESTED = {"projection": ProjectionConfig, "voxel": VoxelParams, "train": TrainParams}
 _SECTIONS = {
-    "pipeline": {f.name for f in fields(PipelineConfig)} - {"weights", *_NESTED} | {"alpha", "lam"},
-    **{sec: {f.name for f in fields(cls)} for sec, cls in _NESTED.items()},
+    "pipeline": {**_defaults(PipelineConfig), **_defaults(LossWeights)},
+    **{sec: _defaults(cls) for sec, cls in _NESTED.items()},
 }
 
 # Preset config fragments matching the published ablation families.
@@ -62,21 +68,53 @@ def _check_sections(data: dict):
     for sec, vals in data.items():
         if not isinstance(vals, dict):
             raise ConfigError(f"section {sec} must be a mapping")
-        if unknown := set(vals) - _SECTIONS[sec]:
+        if unknown := set(vals) - _SECTIONS[sec].keys():
             raise ConfigError(f"unknown {sec} keys: {sorted(unknown)}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(key: str, value, default):
+    """value as the type of its field's default: float fields take a finite
+    number or a string that reads as one (YAML reads 1e-4 as text), int
+    fields a non-bool int, str fields a str, and the encoder widths a
+    sequence of ints."""
+    if isinstance(default, float):
+        try:
+            number = float(value) if _is_int(value) or isinstance(value, (float, str)) else None
+        except (ValueError, OverflowError):
+            number = None
+        if number is not None and math.isfinite(number):
+            return number
+        kind = "a finite number"
+    elif isinstance(default, int):
+        if _is_int(value):
+            return value
+        kind = "an integer"
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        kind = "a string"
+    else:
+        if isinstance(value, (list, tuple)) and all(map(_is_int, value)):
+            return tuple(value)
+        kind = "a list of integers"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     data = data or {}
     _check_sections(data)
-    pl = dict(data.get("pipeline", {}))
+    data = {sec: {key: _typed(f"{sec}.{key}", value, _SECTIONS[sec][key])
+                  for key, value in vals.items()} for sec, vals in data.items()}
+    pl = data.get("pipeline", {})
     try:
         weights = LossWeights(alpha=pl.pop("alpha", 1.0), lam=pl.pop("lam", 0.1))
-        if "encoder_widths" in pl:
-            pl["encoder_widths"] = tuple(pl["encoder_widths"])
         return PipelineConfig(weights=weights, **pl, **{
             sec: cls(**data.get(sec, {})) for sec, cls in _NESTED.items()})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

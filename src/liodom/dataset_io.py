@@ -1,19 +1,22 @@
-"""KITTI-format readers and writers, and IMU windowing.
+"""KITTI-format readers and writers, preprocessed clouds, and IMU windowing.
 
 Formats: velodyne .bin scans (little-endian float32, 4 per point), pose
 text files (12 reals per line, row-major upper 3x4), calib text files
-(key: 12 reals), and OXTS inertial text records (>= 23 whitespace fields
-per line). Readers reject malformed input, and pose and calib values that
-are not finite, naming the file and line.
+(key: 12 reals), OXTS inertial text records (>= 23 whitespace fields
+per line), timestamp files (one real per line), and preprocessed clouds
+(.npz). Readers reject malformed input and values that are not finite,
+naming the file and, in text files, the line.
 """
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Pose
+from .preprocess import PreprocessedCloud
 
 
 class FormatError(ValueError):
@@ -36,6 +39,43 @@ def write_velodyne_bin(path, points: np.ndarray):
     Path(path).write_bytes(pts.tobytes())
 
 
+def write_cloud(path, cloud: PreprocessedCloud):
+    """A preprocessed cloud as .npz: its arrays and its voxel-search outcome."""
+    np.savez(path, points=cloud.points, normals=cloud.normals, met_target=cloud.met_target,
+             side_length=cloud.side_length, passes=cloud.passes)
+
+
+def read_cloud(path) -> PreprocessedCloud:
+    """A cloud as `write_cloud` writes it: finite (N, 3) points and as many
+    finite (N, 3) normals, N >= 1. The voxel-search fields are optional."""
+    try:
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not an .npz cloud ({exc})") from exc
+    for name in ("points", "normals"):
+        a = data.get(name)
+        if a is None or a.ndim != 2 or a.shape[1] != 3 or a.dtype.kind not in "fiu":
+            raise FormatError(f"{path}: {name} must be an (N, 3) array of reals, got "
+                              + ("none" if a is None else f"{a.dtype} {a.shape}"))
+        if not np.isfinite(a).all():
+            raise FormatError(f"{path}: {name} has a non-finite value")
+    n_points, n_normals = len(data["points"]), len(data["normals"])
+    if n_points != n_normals or n_points == 0:
+        raise FormatError(f"{path}: {n_points} points with {n_normals} normals")
+    return PreprocessedCloud(data["points"].astype(float), data["normals"].astype(float),
+                             met_target=bool(data.get("met_target", True)),
+                             side_length=float(data.get("side_length", 0.0)),
+                             passes=int(data.get("passes", 0)))
+
+
+def read_times(path) -> np.ndarray:
+    """A timestamp file such as times.txt: one real per line, in seconds."""
+    with open(path) as f:
+        return np.array([_reals(line.split(), path, lineno, 1)[0]
+                         for lineno, line in enumerate(f, start=1) if line.strip()])
+
+
 def read_oxts(directory) -> np.ndarray:
     """Parse a directory of OXTS records into an (N, 6) inertial array.
 
@@ -51,10 +91,7 @@ def read_oxts(directory) -> np.ndarray:
         fields = f.read_text().strip().split()
         if len(fields) < 23:
             raise FormatError(f"{f}: line 1 has {len(fields)} fields, need >= 23")
-        try:
-            vals = [float(x) for x in fields]
-        except ValueError as exc:
-            raise FormatError(f"{f}: line 1: {exc}") from exc
+        vals = _reals(fields, f, 1)
         out[i, 0:3] = vals[11:14]
         out[i, 3:6] = vals[17:20]
     return out
@@ -76,9 +113,9 @@ def window_imu(records: np.ndarray, record_times: np.ndarray,
                scan_times: np.ndarray, S: int = 15) -> list[np.ndarray]:
     """One (S, 6) window per consecutive scan pair.
 
-    Records with timestamps in (t_k, t_k+1] are selected; more than S are
-    uniformly subsampled by index, fewer are linearly interpolated to
-    exactly S rows (endpoints preserved).
+    Records with timestamps in (t_k, t_k+1] are selected; S or more are
+    uniformly subsampled by index (S are kept as they are), fewer are
+    linearly interpolated to exactly S rows (endpoints preserved).
     """
     records = np.asarray(records, dtype=float)
     record_times = np.asarray(record_times, dtype=float)
@@ -93,9 +130,7 @@ def window_imu(records: np.ndarray, record_times: np.ndarray,
         if n == 0:
             raise FormatError(
                 f"no IMU records in scan interval ({scan_times[k]}, {scan_times[k + 1]}]")
-        if n == S:
-            windows.append(rows.copy())
-        elif n > S:
+        if n >= S:
             idx = (np.arange(S) * n) // S
             windows.append(rows[idx])
         else:
@@ -108,18 +143,23 @@ def window_imu(records: np.ndarray, record_times: np.ndarray,
     return windows
 
 
-def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
-    """A line's 12 reals (row-major upper 3x4) as a 4x4 matrix."""
-    if len(fields) != 12:
-        raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, need 12")
+def _reals(fields, path, lineno, count: int | None = None) -> np.ndarray:
+    """A line's fields as finite reals; exactly `count` of them unless None."""
+    if count is not None and len(fields) != count:
+        raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, need {count}")
     try:
         vals = np.array([float(x) for x in fields])
     except ValueError as exc:
         raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if not np.isfinite(vals).all():
         raise FormatError(f"{path}: line {lineno} has a non-finite value")
+    return vals
+
+
+def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
+    """A line's 12 reals (row-major upper 3x4) as a 4x4 matrix."""
     T = np.eye(4)
-    T[:3, :] = vals.reshape(3, 4)
+    T[:3, :] = _reals(fields, path, lineno, 12).reshape(3, 4)
     return T
 
 

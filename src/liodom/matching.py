@@ -44,7 +44,7 @@ class LossWeights:
         return self.alpha * po2pl + self.lam * pl2pl
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrespondenceSet:
     src_index: np.ndarray     # (M,) indices of the matched points in the source cloud
     tgt_points: np.ndarray    # (M, 3)

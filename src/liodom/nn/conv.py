@@ -53,7 +53,6 @@ class Conv2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.pad = kernel // 2 if pad is None else pad
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.weight.value.dtype)
@@ -91,7 +90,6 @@ class ChannelNorm(Module):
         self.running_var = np.ones(channels)
         self.momentum = momentum
         self.eps = eps
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.gamma.value.dtype)
@@ -127,7 +125,6 @@ class ResBlock(Module):
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv2d(in_ch, out_ch, 1, stride=stride, pad=0, rng=rng)
             self.proj_norm = ChannelNorm(out_ch)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         a = self.norm1(self.conv1(x))
@@ -177,7 +174,6 @@ class MapEncoder(Module):
         ]
         self.head = Linear(c2, feature_dim, rng)
         self.feature_dim = feature_dim
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[2] < 4 or x.shape[3] < 4:

@@ -29,26 +29,22 @@ class Module:
     """Base class: forward/backward pair plus parameter and buffer access.
 
     Submodules are found among the attributes, directly or in lists and
-    tuples. A submodule reachable under two names (a shared head) is
-    visited once, under the first name.
+    tuples. Modules form a tree: no module is reachable under two names.
     """
 
     buffer_names: tuple = ()    # attributes holding non-trainable state arrays
     training = False
+    _cache = None               # what forward keeps for backward
 
-    def named_modules(self, prefix: str = "", seen: set | None = None):
-        """(dotted prefix, module) for this module and each submodule, once each."""
-        seen = set() if seen is None else seen
-        if id(self) in seen:
-            return
-        seen.add(id(self))
+    def named_modules(self, prefix: str = ""):
+        """(dotted prefix, module) for this module and each submodule."""
         yield prefix, self
         for name, attr in vars(self).items():
             items = enumerate(attr) if isinstance(attr, (list, tuple)) else [(None, attr)]
             for i, item in items:
                 if isinstance(item, Module):
                     sub = name if i is None else f"{name}.{i}"
-                    yield from item.named_modules(f"{prefix}{sub}.", seen)
+                    yield from item.named_modules(f"{prefix}{sub}.")
 
     def parameters(self) -> dict[str, Param]:
         return {prefix + name: attr for prefix, m in self.named_modules()

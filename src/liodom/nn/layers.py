@@ -21,14 +21,13 @@ class Linear(Module):
             w = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.weight = Param(w)
         self.bias = Param(np.zeros(out_dim))
-        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x = np.asarray(x, dtype=self.weight.value.dtype)
+        self._cache = x = np.asarray(x, dtype=self.weight.value.dtype)
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.weight.grad += grad_out.T @ self._x
+        self.weight.grad += grad_out.T @ self._cache
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value
 
@@ -44,7 +43,6 @@ class AttentionHead(Module):
         self.gate_i = Linear(dim, dim, rng)
         self.cand_g = Linear(dim, dim, rng)
         self.gate_o = Linear(dim, dim, rng)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         i = sigmoid(self.gate_i(x))
@@ -72,7 +70,6 @@ class FcActivationHead(Module):
     def __init__(self, dim: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, dim, rng)
         self.fc2 = Linear(dim, dim, rng)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.tanh(self.fc1(x))
@@ -95,7 +92,6 @@ class LSTM(Module):
         self.w_hh = Param(uniform_init(rng, (4 * h, h), h))
         self.bias = Param(np.zeros(4 * h))
         self.hidden_size = h
-        self._cache = None
 
     def forward(self, x: np.ndarray):
         """Returns (hidden sequence (B, S, H), final hidden (B, H)) from zero states."""

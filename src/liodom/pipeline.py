@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .evaluation import accumulate
 from .geometry import Pose, apply_to_point, compose
 from .matching import (
     CorrespondenceSet,
     EmptyMatchError,
-    KdIndex,
     LossWeights,
     build_index,
     loss_gradient,
@@ -31,7 +31,7 @@ from .matching import (
     transformed_cloud,
 )
 from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, Module, StepLR
-from .preprocess import PreprocessedCloud, VoxelParams
+from .preprocess import PreprocessedCloud, VoxelParams, adaptive_voxel_downsample, preprocess_cloud
 from .range_image import NormalMap, ProjectionConfig, VertexMap, compute_normal_map, project, project_with_indices, remap
 from .registration import RegistrationError, register
 
@@ -91,7 +91,7 @@ class PipelineConfig:
             raise ValueError(f"max_match_dist must be positive, got {self.max_match_dist}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FramePair:
     """Everything one training/inference step needs for a scan pair."""
 
@@ -102,12 +102,6 @@ class FramePair:
     last_cloud: PreprocessedCloud
     cur_cloud: PreprocessedCloud
     imu: np.ndarray | None = None      # (S, 6): lin acc 0-2, ang vel 3-5
-    _index: KdIndex | None = None
-
-    def target_index(self) -> KdIndex:
-        if self._index is None:
-            self._index = build_index(self.last_cloud)
-        return self._index
 
 
 def _make_head(head_type: str, dim: int, rng):
@@ -124,14 +118,15 @@ class OdometryModel(Module):
     Every method takes and returns arrays with a leading batch axis B.
 
     Output FC layers are zero-initialized so the untrained network emits
-    the identity pose. In merged and vertex-only head modes head_q is
-    head_t, so its parameters are named and stepped once, as head_t.
+    the identity pose. In merged and vertex-only head modes there is one
+    head, head_t, and head_q is None: out_q reads head_t's output.
 
     The network runs in float32: its parameters, buffers, activations and
-    gradients. Parameters are drawn in float64, then cast once. Each method
-    casts the arrays it is given to the network's dtype, and the pose
-    vectors it returns to float64, for the pose algebra and the loss. The
-    `imu` block stays in the network's dtype: only `residual_pose` reads it.
+    gradients. Parameters are drawn in float64, then cast once. Each layer
+    casts its input to its parameters' dtype; the model casts the pose
+    gradients `backward` takes to the network's dtype, and the pose vectors
+    it returns to float64, for the pose algebra and the loss. The `imu`
+    block stays in the network's dtype: only `residual_pose` reads it.
     """
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator | None = None):
@@ -156,7 +151,7 @@ class OdometryModel(Module):
         self.t_dim, self.q_dim = (sum(self.feature_blocks[b] for b in self.head_inputs[h])
                                   for h in ("t", "q"))
         self.head_t = _make_head(cfg.head_type, self.t_dim, rng)
-        self.head_q = self.head_t
+        self.head_q = None
         if cfg.head_mode == "two-branch":
             self.head_q = _make_head(cfg.head_type, self.q_dim, rng)
         self.out_t = Linear(self.t_dim, 3, zero_init=True)
@@ -179,7 +174,6 @@ class OdometryModel(Module):
             return None, None
         if windows is None:
             raise ValueError(f"imu_mode={mode} requires an IMU window")
-        windows = np.asarray(windows, dtype=self.dtype)
         _, h_g = self.lstm_gyro(windows[:, :, 3:6])
         _, h_a = self.lstm_acc(windows[:, :, 0:3])
         if mode == "feature-concat":
@@ -191,16 +185,15 @@ class OdometryModel(Module):
                       imu_feats: np.ndarray | None) -> np.ndarray:
         """Residual pose vectors (B, 6) from stacked map pairs (B, 6, H, W) and
         optional IMU features."""
-        blocks = {"v": self.vertex_encoder(np.asarray(v_pairs, dtype=self.dtype)),
-                  "imu": imu_feats}
+        blocks = {"v": self.vertex_encoder(v_pairs), "imu": imu_feats}
         if self.normal_encoder is not None:
             if n_pairs is None:
                 raise ValueError("head mode requires a normal-map pair")
-            blocks["n"] = self.normal_encoder(np.asarray(n_pairs, dtype=self.dtype))
+            blocks["n"] = self.normal_encoder(n_pairs)
         x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]], axis=1)
                     for h in ("t", "q"))
         h_t = self.head_t(x_t)
-        h_q = h_t if self.head_q is self.head_t else self.head_q(x_q)
+        h_q = h_t if self.head_q is None else self.head_q(x_q)
         p_delta = np.concatenate([self.cfg.q_scale * self.out_q(h_q), self.out_t(h_t)], axis=1)
         return p_delta.astype(float)
 
@@ -210,7 +203,7 @@ class OdometryModel(Module):
         grad_hat = np.asarray(grad_hat, dtype=self.dtype)
         gh_q = self.out_q.backward(self.cfg.q_scale * grad_delta[:, :3])
         gh_t = self.out_t.backward(grad_delta[:, 3:])
-        if self.head_q is self.head_t:     # one backward on the summed output gradients
+        if self.head_q is None:  # one backward on the summed output gradients
             head_grads = {"t": self.head_t.backward(gh_t + gh_q)}
         else:
             head_grads = {"t": self.head_t.backward(gh_t), "q": self.head_q.backward(gh_q)}
@@ -234,12 +227,10 @@ class OdometryModel(Module):
         self.lstm_acc.backward(grad_h_final=gh_a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairDiagnostics:
     initial: Pose = field(default_factory=Pose.identity)
     residual: Pose = field(default_factory=Pose.identity)
-    matches: int = 0
-    loss: float = float("nan")
 
 
 def estimate_pair(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
@@ -287,7 +278,7 @@ def pair_loss(fp: FramePair, pose: Pose, cfg: PipelineConfig):
         source, corr = pixel_correspondences(fp, pose, cfg.projection)
     else:
         source = fp.cur_cloud
-        corr = match_nearest(transformed_cloud(source, pose), fp.target_index(),
+        corr = match_nearest(transformed_cloud(source, pose), build_index(fp.last_cloud),
                              max_dist=cfg.max_match_dist)
     return source, corr, loss_terms(pose.as_vector(), source, corr)
 
@@ -338,16 +329,15 @@ def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     if not np.isfinite(pose.as_vector()).all():
         raise NonFinitePairError("predicted pose is not finite")
     source, corr, terms = pair_loss(fp, pose, cfg)
-    diag.matches = len(corr)
-    diag.loss = cfg.weights.combine(terms)
+    loss = cfg.weights.combine(terms)
     p_delta = diag.residual.as_vector()
     p_hat = diag.initial.as_vector()
     grad_delta, grad_hat = composed_pose_gradients(p_delta, p_hat, source, corr, cfg.weights)
-    if not (np.isfinite(diag.loss) and np.isfinite(grad_delta).all()
+    if not (np.isfinite(loss) and np.isfinite(grad_delta).all()
             and np.isfinite(grad_hat).all()):
         raise NonFinitePairError("loss or pose gradient is not finite")
     model.backward(grad_delta[None], grad_hat[None])
-    return diag.loss, terms, diag
+    return loss, terms, diag
 
 
 def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
@@ -418,8 +408,6 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
     go through the full preprocess pipeline, one scan per worker thread
     (`_pool_map`). Every other stage runs in-line.
     """
-    from .preprocess import adaptive_voxel_downsample, preprocess_cloud
-
     def points_of(s):
         return s.points if hasattr(s, "points") else np.asarray(s, dtype=float)
 
@@ -458,8 +446,6 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("learned", "hybrid") and model is None:
         raise ValueError(f"mode {mode!r} needs a model")
-    from .evaluation import accumulate
-
     if mode == "classical":
         inits = [Pose.identity()] * len(pairs)
     else:

@@ -41,7 +41,7 @@ class VoxelParams:
             raise ValueError("voxel side length and step must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessedCloud:
     """Downsampled points with index-aligned unit normals."""
 

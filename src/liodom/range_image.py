@@ -33,7 +33,7 @@ class ProjectionConfig:
             raise ValueError("grid dimensions must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexMap:
     grid: np.ndarray   # (H, W, 3) meters
     valid: np.ndarray  # (H, W) bool
@@ -43,7 +43,7 @@ class VertexMap:
         return self.valid.shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalMap:
     grid: np.ndarray   # (H, W, 3) unit vectors
     valid: np.ndarray  # (H, W) bool

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset_io import window_imu
 from .geometry import Pose, apply_to_normal, apply_to_point, rotation_angle
 from .preprocess import PreprocessedCloud
 
@@ -213,8 +214,6 @@ def corridor_sequence(n_frames: int = 20, seed: int = 0, sigma: float = 0.0,
     poses = [dense_poses[i] for i in scan_idx]
     scans = [scan_from_pose(scene, p) for p in poses]
     records = imu_records(dense_poses, dense_times)
-    from .dataset_io import window_imu
-
     imu = window_imu(records, dense_times, scan_times, S=15)
     return SyntheticSequence(scans=scans, poses=poses, times=scan_times,
                              imu_windows=imu, dense_records=records,

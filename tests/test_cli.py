@@ -1,4 +1,5 @@
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ class TestConfigLoading:
         p.write_text("pipeline: 3\n")
         with pytest.raises(ConfigError, match="must be a mapping"):
             load_config(p, **layers)
+
+    def test_exponent_without_a_dot_is_a_float(self, tmp_path):
+        # YAML reads 1e-4 as text; a float field reads the text as a number
+        p = tmp_path / "c.yaml"
+        p.write_text("train: {learning_rate: 1e-4}\npipeline: {max_match_dist: 5e-1}\n")
+        cfg = load_config(p)
+        assert cfg.train.learning_rate == 1e-4 and cfg.max_match_dist == 0.5
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -271,6 +279,8 @@ class TestExitCodes:
         "train.lr_step_size=0",
         "pipeline.imu_window=0",
         "pipeline.max_match_dist=-1",
+        "train.learning_rate=abc",
+        "train.epochs=2.5",
     ])
     def test_usage_error_on_invalid_value(self, capsys, setting):
         assert main(["preprocess", "--input", "x", "--output", "y",
@@ -336,6 +346,57 @@ class TestExitCodes:
         bad.write_bytes(b"xyz")
         assert main(["preprocess", "--input", str(bad),
                      "--output", str(tmp_path / "o.npz")]) == 2
+
+    @pytest.mark.parametrize("write", [
+        lambda f, p, n: np.savez(f, points=p, normals=n[:-1]),
+        lambda f, p, n: np.savez(f, points=p.ravel(), normals=n.ravel()),
+        lambda f, p, n: np.savez(f, normals=n,
+                                 points=np.where(np.arange(len(p))[:, None] == 3, np.nan, p)),
+        lambda f, p, n: np.savez(f, points=p),
+        lambda f, p, n: f.write_text("points normals\n"),
+    ], ids=["short-normals", "flat-arrays", "nan-point", "no-normals", "not-an-archive"])
+    def test_data_error_on_malformed_cloud(self, tmp_path, capsys, write):
+        pts = np.random.default_rng(0).uniform(-2, 2, (80, 3))
+        nrm = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        np.savez(good, points=pts, normals=nrm)
+        write(bad, pts, nrm)
+        assert main(["register", "--source", str(good), "--target", str(bad)]) == 2
+        assert f"data error: {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["times.txt", "oxts_times.txt"])
+    def test_data_error_on_times_not_aligned(self, tmp_path, capsys, name):
+        data = _synth(tmp_path, frames=3)
+        lines = (data / name).read_text().splitlines(keepends=True)
+        (data / name).write_text("".join(lines[:-1]))
+        assert main(["infer", "--data", str(data), "--output", str(tmp_path / "e.txt"),
+                     "--mode", "classical"] + TINY_FLAGS) == 2
+        assert f"data error: {data / name}" in capsys.readouterr().err
+
+    def test_data_error_on_nan_oxts_field(self, tmp_path, capsys, lam0_run):
+        data, ckpt = lam0_run
+        data = shutil.copytree(data, tmp_path / "seq")
+        record = data / "oxts" / "000005.txt"
+        fields = record.read_text().split()
+        fields[11] = "nan"       # x acceleration
+        record.write_text(" ".join(fields) + "\n")
+        assert main(["infer", "--data", str(data), "--output", str(tmp_path / "e.txt"),
+                     "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
+        assert f"data error: {record}: line 1 has a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "e.txt").exists()
+
+    def test_data_error_on_imu_checkpoint_without_oxts(self, tmp_path, capsys, lam0_run):
+        data, ckpt = lam0_run
+        data = shutil.copytree(data, tmp_path / "seq")
+        shutil.rmtree(data / "oxts")
+        est = tmp_path / "e.txt"
+        assert main(["infer", "--data", str(data), "--output", str(est),
+                     "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
+        assert "needs oxts/ records" in capsys.readouterr().err
+        # registration alone reads no IMU
+        assert main(["infer", "--data", str(data), "--output", str(est),
+                     "--checkpoint", str(ckpt), "--mode", "classical"]) == 0
+        assert len(read_poses(est)) == 2
 
     def test_numerical_error_on_hopeless_registration(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -8,15 +8,16 @@ import pytest
 from liodom import pipeline
 from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
-from liodom.matching import transformed_cloud
+from liodom.matching import CorrespondenceSet, transformed_cloud
 from liodom.nn import (Adam, StepLR, central_difference, gradcheck, load_checkpoint,
                        save_checkpoint)
-from liodom.pipeline import (HEAD_MODES, IMU_MODES, OdometryModel, PipelineConfig,
-                             TrainParams, build_frame_pairs,
+from liodom.pipeline import (HEAD_MODES, IMU_MODES, FramePair, OdometryModel,
+                             PairDiagnostics, PipelineConfig, TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
-from liodom.preprocess import VoxelParams, preprocess_cloud
-from liodom.range_image import ProjectionConfig, compute_normal_map, project, remap
+from liodom.preprocess import PreprocessedCloud, VoxelParams, preprocess_cloud
+from liodom.range_image import (NormalMap, ProjectionConfig, VertexMap, compute_normal_map,
+                                project, remap)
 from liodom.registration import RegistrationError, register
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
 from liodom.dataset_io import window_imu
@@ -95,9 +96,8 @@ class TestZeroInitIdentity:
     def test_initial_pose_requires_imu(self):
         cfg = _tiny_cfg(imu_mode="initial-pose")
         pairs, _ = _pairs(cfg)
-        pairs[0].imu = None
         with pytest.raises(ValueError):
-            estimate_pair(pairs[0], OdometryModel(cfg), cfg)
+            estimate_pair(dataclasses.replace(pairs[0], imu=None), OdometryModel(cfg), cfg)
 
 
 @pytest.mark.parametrize("head_mode", ["two-branch", "merged", "vertex-only"])
@@ -110,6 +110,30 @@ def test_all_head_variants_run(head_mode, head_type):
     assert np.isfinite(loss)
     grads = [np.abs(p.grad).sum() for p in model.parameters().values()]
     assert sum(g > 0 for g in grads) > 0
+
+
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+def test_modules_form_a_tree(head_mode):
+    model = OdometryModel(_tiny_cfg(imu_mode="feature-concat", head_mode=head_mode))
+    modules = [id(m) for _, m in model.named_modules()]
+    assert len(modules) == len(set(modules))
+    assert (model.head_q is None) == (head_mode != "two-branch")
+
+
+def _pipeline_values():
+    cloud = PreprocessedCloud(np.zeros((1, 3)), np.zeros((1, 3)))
+    vmap = VertexMap(np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool))
+    nmap = NormalMap(vmap.grid, vmap.valid)
+    return [FramePair(vmap, nmap, vmap, nmap, cloud, cloud), cloud,
+            CorrespondenceSet(np.arange(1), cloud.points, cloud.normals),
+            vmap, nmap, PairDiagnostics()]
+
+
+@pytest.mark.parametrize("value", _pipeline_values(), ids=lambda v: type(v).__name__)
+def test_pipeline_values_are_frozen(value):
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
 
 
 def test_vertex_only_has_no_normal_encoder():
@@ -488,11 +512,11 @@ class TestStateRoundTrip:
         cfg = _tiny_cfg(imu_mode="initial-pose", head_mode="merged")
         pairs, _ = _pairs(cfg)
         model = OdometryModel(cfg)
-        assert model.head_q is model.head_t
+        assert model.head_q is None
         opt = Adam(model.parameters(), lr=1e-3)
         stepped = [id(p) for p in opt.params.values()]
         assert len(set(stepped)) == len(stepped)
-        assert {id(p) for p in model.head_q.parameters().values()} <= set(stepped)
+        assert {id(p) for p in model.head_t.parameters().values()} <= set(stepped)
         assert not any(k.startswith("head_q.") for k in opt.params)
         train_epoch(pairs, model, opt, cfg)
         assert "normal_encoder.blocks.2.proj_norm.running_var" in model.buffers()
