@@ -146,8 +146,9 @@ def cmd_synth(args) -> int:
 
 def _load_sequence(data_dir: Path, cfg, network: bool):
     """Frame pairs of a KITTI-format sequence, checked as it is read; warns
-    about clouds that missed the voxel target. `network`: the model reads the
-    pairs, so an IMU mode other than none needs oxts/ records."""
+    about clouds that missed the voxel target. The IMU is read only when
+    `network` (the model reads the pairs) and the IMU mode is not none; then
+    oxts/ and oxts_times.txt must exist."""
     scans = sorted((data_dir / "velodyne").glob("*.bin"))
     if not scans:
         raise FormatError(f"{data_dir}: no velodyne/*.bin scans")
@@ -156,15 +157,15 @@ def _load_sequence(data_dir: Path, cfg, network: bool):
         raise FormatError(f"{data_dir / 'times.txt'}: {len(scan_times)} times "
                           f"for {len(scans)} scans")
     imu_windows = None
-    if (data_dir / "oxts").is_dir():
+    if network and cfg.imu_mode != "none":
+        if not (data_dir / "oxts").is_dir():
+            raise FormatError(f"imu_mode {cfg.imu_mode!r} needs oxts/ records in {data_dir}")
         records = read_oxts(data_dir / "oxts")
         record_times = read_times(data_dir / "oxts_times.txt")
         if len(record_times) != len(records):
             raise FormatError(f"{data_dir / 'oxts_times.txt'}: {len(record_times)} times "
                               f"for {len(records)} OXTS records")
         imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
-    elif network and cfg.imu_mode != "none":
-        raise FormatError(f"imu_mode {cfg.imu_mode!r} needs oxts/ records in {data_dir}")
     points = [read_velodyne_bin(p)[:, :3] for p in scans]
     pairs = build_frame_pairs(points, cfg, imu_windows=imu_windows)
     _warn_missed_targets([fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs])
@@ -209,7 +210,10 @@ def cmd_infer(args) -> int:
         return EXIT_USAGE
     arrays = saved_cfg = model = None
     if args.checkpoint is not None:
-        arrays, saved_cfg, _ = load_checkpoint(args.checkpoint)
+        try:
+            arrays, saved_cfg, _ = load_checkpoint(args.checkpoint)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
     cfg = _config_from_args(args, base=saved_cfg)
     if arrays is not None:
         model = OdometryModel(cfg)

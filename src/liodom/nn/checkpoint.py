@@ -10,6 +10,7 @@ byte offset.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -50,20 +51,35 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (arrays, config, precision); the arrays keep the stored precision."""
+    """Returns (arrays, config, precision); the arrays keep the stored precision.
+
+    Raises ValueError, naming the file, on anything that is not a whole
+    checkpoint: a wrong magic, a header that is cut short, malformed or
+    missing a key, and arrays that run past the end of the file.
+    """
     data = Path(path).read_bytes()
-    if data[:8] != MAGIC:
+    if data[:8] != MAGIC or len(data) < 16:
         raise ValueError(f"{path}: not a checkpoint file")
     (hlen,) = struct.unpack("<Q", data[8:16])
-    header = json.loads(data[16:16 + hlen].decode("utf-8"))
-    if header["precision"] not in PRECISIONS:
-        raise ValueError(f"{path}: unknown precision {header['precision']!r}")
-    dtype = np.dtype(header["precision"]).newbyteorder("<")
     base = 16 + hlen
+    if len(data) < base:
+        raise ValueError(f"{path}: the {hlen}-byte header runs past the end of the file")
+    try:
+        header = json.loads(data[16:base].decode("utf-8"))
+        config, precision = dict(header["config"]), header["precision"]
+        entries = [(str(e["name"]), [int(d) for d in e["shape"]], int(e["offset"]))
+                   for e in header["params"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+    if precision not in PRECISIONS:
+        raise ValueError(f"{path}: unknown precision {precision!r}")
+    dtype = np.dtype(precision).newbyteorder("<")
     arrays = {}
-    for e in header["params"]:
-        n = int(np.prod(e["shape"])) if e["shape"] else 1
-        start = base + e["offset"]
-        a = np.frombuffer(data, dtype=dtype, count=n, offset=start)
-        arrays[e["name"]] = a.reshape(e["shape"]).astype(header["precision"])
-    return arrays, header["config"], header["precision"]
+    for name, shape, offset in entries:
+        n = math.prod(shape)
+        if min(shape, default=0) < 0 or offset < 0 or base + offset + n * dtype.itemsize > len(data):
+            raise ValueError(f"{path}: array {name!r} of shape {shape} at offset {offset} "
+                             f"runs past the end of the file")
+        a = np.frombuffer(data, dtype=dtype, count=n, offset=base + offset)
+        arrays[name] = a.reshape(shape).astype(precision)
+    return arrays, config, precision

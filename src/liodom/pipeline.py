@@ -85,8 +85,13 @@ class PipelineConfig:
             raise ValueError(f"head_type must be one of {HEAD_TYPES}")
         if self.matching not in MATCHING:
             raise ValueError(f"matching must be one of {MATCHING}")
-        if self.imu_window < 1:
-            raise ValueError(f"imu_window must be at least 1, got {self.imu_window}")
+        for name in ("feature_dim", "lstm_hidden", "imu_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if len(self.encoder_widths) != 3 or not all(isinstance(w, int) and w >= 1
+                                                    for w in self.encoder_widths):
+            raise ValueError(f"encoder_widths must be three integers of at least 1, "
+                             f"got {self.encoder_widths}")
         if not self.max_match_dist > 0:
             raise ValueError(f"max_match_dist must be positive, got {self.max_match_dist}")
 
@@ -383,8 +388,8 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
     )
 
 
-def _pool_map(fn, items) -> list:
-    """[fn(item) for item in items], on one worker thread per CPU this process
+def _pool_map(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), on one worker thread per CPU this process
     may run on, with the results in input order.
 
     Threads pay off only where fn spends its time in native code that
@@ -395,7 +400,7 @@ def _pool_map(fn, items) -> list:
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *iterables))
 
 
 def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
@@ -403,32 +408,26 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
     """Assemble FramePairs from sensor-frame scans.
 
     `scans` is a list of (N, 3) arrays (or objects with .points/.normals
-    such as synthetic scenes). Loss-side clouds may be passed precomputed;
-    otherwise scans with analytic normals use them directly and raw arrays
-    go through the full preprocess pipeline, one scan per worker thread
-    (`_pool_map`). Every other stage runs in-line.
+    such as synthetic scenes). One call per scan, one scan per worker thread
+    (`_pool_map`), projects it, computes its normal map and takes its
+    loss-side cloud: `clouds[k]` when clouds are passed precomputed, else a
+    voxel downsample of the scan's analytic normals, else the full
+    preprocess pipeline on the raw array.
     """
-    def points_of(s):
-        return s.points if hasattr(s, "points") else np.asarray(s, dtype=float)
+    def frame(scan, cloud):
+        points = scan.points if hasattr(scan, "points") else np.asarray(scan, dtype=float)
+        vm = project(points, cfg.projection)
+        if cloud is None:
+            cloud = (adaptive_voxel_downsample(points, scan.normals, cfg.voxel)
+                     if hasattr(scan, "normals") else preprocess_cloud(points, cfg.voxel))
+        return vm, compute_normal_map(vm), cloud
 
-    maps = []
-    for s in scans:
-        vm = project(points_of(s), cfg.projection)
-        maps.append((vm, compute_normal_map(vm)))
-    if clouds is None:
-        raw = iter(_pool_map(lambda s: preprocess_cloud(points_of(s), cfg.voxel),
-                             [s for s in scans if not hasattr(s, "normals")]))
-        clouds = [adaptive_voxel_downsample(points_of(s), s.normals, cfg.voxel)
-                  if hasattr(s, "normals") else next(raw) for s in scans]
-    pairs = []
-    for k in range(len(scans) - 1):
-        pairs.append(FramePair(
-            v_last=maps[k][0], n_last=maps[k][1],
-            v_cur=maps[k + 1][0], n_cur=maps[k + 1][1],
-            last_cloud=clouds[k], cur_cloud=clouds[k + 1],
-            imu=None if imu_windows is None else imu_windows[k],
-        ))
-    return pairs
+    if clouds is not None and len(clouds) != len(scans):
+        raise ValueError(f"{len(clouds)} clouds for {len(scans)} scans")
+    frames = _pool_map(frame, scans, [None] * len(scans) if clouds is None else clouds)
+    return [FramePair(v_last=v0, n_last=n0, v_cur=v1, n_cur=n1, last_cloud=c0, cur_cloud=c1,
+                      imu=None if imu_windows is None else imu_windows[k])
+            for k, ((v0, n0, c0), (v1, n1, c1)) in enumerate(zip(frames, frames[1:]))]
 
 
 def run_sequence(pairs, mode: str, cfg: PipelineConfig,
@@ -453,8 +452,7 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     if mode == "learned":
         return accumulate(inits), inits, ["ok"] * len(inits)
 
-    def register_pair(pair_init):
-        fp, init = pair_init
+    def register_pair(fp, init):
         try:
             pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init,
                                max_match_dist=cfg.max_match_dist, weights=cfg.weights)
@@ -462,6 +460,6 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
         except RegistrationError as exc:
             return exc.pose, "registration-failed"
 
-    results = _pool_map(register_pair, zip(pairs, inits))
+    results = _pool_map(register_pair, pairs, inits)
     relatives = [pose for pose, _ in results]
     return accumulate(relatives), relatives, [flag for _, flag in results]

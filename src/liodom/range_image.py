@@ -27,6 +27,9 @@ class ProjectionConfig:
     W: int = 720
 
     def __post_init__(self):
+        if not (self.eta_w > 0 and self.eta_h > 0):
+            raise ValueError(f"eta_w and eta_h must be positive, "
+                             f"got {self.eta_w} and {self.eta_h}")
         if abs(self.W * self.eta_w - 2.0 * self.f_w) > 1e-9:
             raise ValueError(f"W*eta_w = {self.W * self.eta_w} must equal 2*f_w = {2 * self.f_w}")
         if self.H <= 0 or self.W <= 0:

@@ -281,6 +281,11 @@ class TestExitCodes:
         "pipeline.max_match_dist=-1",
         "train.learning_rate=abc",
         "train.epochs=2.5",
+        "pipeline.encoder_widths=(4,8)",
+        "pipeline.encoder_widths=(4,-8,16)",
+        "pipeline.feature_dim=0",
+        "pipeline.lstm_hidden=0",
+        "projection.eta_h=-0.5",
     ])
     def test_usage_error_on_invalid_value(self, capsys, setting):
         assert main(["preprocess", "--input", "x", "--output", "y",
@@ -365,13 +370,46 @@ class TestExitCodes:
         assert f"data error: {bad}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["times.txt", "oxts_times.txt"])
-    def test_data_error_on_times_not_aligned(self, tmp_path, capsys, name):
+    def test_data_error_on_times_not_aligned(self, tmp_path, capsys, lam0_run, name):
+        _, ckpt = lam0_run
         data = _synth(tmp_path, frames=3)
         lines = (data / name).read_text().splitlines(keepends=True)
         (data / name).write_text("".join(lines[:-1]))
         assert main(["infer", "--data", str(data), "--output", str(tmp_path / "e.txt"),
-                     "--mode", "classical"] + TINY_FLAGS) == 2
+                     "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
         assert f"data error: {data / name}" in capsys.readouterr().err
+
+    def test_classical_inference_reads_no_imu(self, tmp_path, capsys, lam0_run):
+        _, ckpt = lam0_run
+        data = _synth(tmp_path, frames=3)
+        t1, t2 = np.loadtxt(data / "times.txt")[1:]
+        lines = (data / "oxts_times.txt").read_text().splitlines(keepends=True)
+        gap = [i for i, line in enumerate(lines) if t1 < float(line) <= t2]
+        assert len(gap) == 15
+        for i in gap:
+            (data / "oxts" / f"{i:06d}.txt").unlink()
+        (data / "oxts_times.txt").write_text("".join(line for i, line in enumerate(lines)
+                                                     if i not in gap))
+        est = tmp_path / "e.txt"
+        assert main(["infer", "--data", str(data), "--output", str(est),
+                     "--mode", "classical"] + TINY_FLAGS + SHORT_WALK) == 0
+        assert len(read_poses(est)) == 3
+        assert main(["infer", "--data", str(data), "--output", str(est),
+                     "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
+        assert "data error: no IMU records in scan interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["not-a-checkpoint", "truncated-arrays", "truncated-header"])
+    def test_data_error_on_malformed_checkpoint(self, tmp_path, capsys, lam0_run, cut):
+        data, ckpt = lam0_run
+        raw = ckpt.read_bytes()
+        end = 16 + int.from_bytes(raw[8:16], "little")    # magic, header length, header
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes({"not-a-checkpoint": b"weights",
+                         "truncated-arrays": raw[:(end + len(raw)) // 2],
+                         "truncated-header": raw[:(16 + end) // 2]}[cut])
+        assert main(["infer", "--data", str(data), "--output", str(tmp_path / "e.txt"),
+                     "--checkpoint", str(bad), "--mode", "learned"]) == 2
+        assert f"data error: {bad}" in capsys.readouterr().err
 
     def test_data_error_on_nan_oxts_field(self, tmp_path, capsys, lam0_run):
         data, ckpt = lam0_run

@@ -15,7 +15,8 @@ from liodom.pipeline import (HEAD_MODES, IMU_MODES, FramePair, OdometryModel,
                              PairDiagnostics, PipelineConfig, TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
-from liodom.preprocess import PreprocessedCloud, VoxelParams, preprocess_cloud
+from liodom.preprocess import (PreprocessedCloud, VoxelParams, adaptive_voxel_downsample,
+                               preprocess_cloud)
 from liodom.range_image import (NormalMap, ProjectionConfig, VertexMap, compute_normal_map,
                                 project, remap)
 from liodom.registration import RegistrationError, register
@@ -370,18 +371,32 @@ class TestPooledStages:
     def four_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
-    def test_raw_scans_equal_per_scan_preprocess(self):
+    @pytest.mark.parametrize("kind", ["raw-arrays", "analytic-normals", "precomputed-clouds"])
+    def test_each_scan_gives_its_own_maps_and_cloud(self, kind):
         cfg = _tiny_cfg()
-        scene = _scene()
-        scans = [scan_from_pose(scene, Pose(q=[0.0, 0.0, 0.05 * k], t=[0.15 * k, 0.0, 0.0])).points
-                 for k in range(5)]
-        pairs = build_frame_pairs(scans, cfg)
-        clouds = [pairs[0].last_cloud] + [fp.cur_cloud for fp in pairs]
-        for got, scan in zip(clouds, scans, strict=True):
-            want = preprocess_cloud(scan, cfg.voxel)
-            np.testing.assert_array_equal(got.points, want.points)
-            np.testing.assert_array_equal(got.normals, want.normals)
-            assert (got.side_length, got.passes, got.met_target) == (
+        scenes = [scan_from_pose(_scene(), Pose(q=[0.0, 0.0, 0.05 * k], t=[0.15 * k, 0.0, 0.0]))
+                  for k in range(5)]
+        scans, clouds = scenes, None
+        if kind == "raw-arrays":
+            scans = [s.points for s in scenes]
+            want_clouds = [preprocess_cloud(s.points, cfg.voxel) for s in scenes]
+        elif kind == "analytic-normals":
+            want_clouds = [adaptive_voxel_downsample(s.points, s.normals, cfg.voxel) for s in scenes]
+        else:
+            clouds = want_clouds = [PreprocessedCloud(s.points[k::7], s.normals[k::7])
+                                    for k, s in enumerate(scenes)]
+        pairs = build_frame_pairs(scans, cfg, clouds=clouds)
+        assert len(pairs) == len(scenes) - 1
+        frames = [(fp.v_last, fp.n_last, fp.last_cloud) for fp in pairs[:1]]
+        frames += [(fp.v_cur, fp.n_cur, fp.cur_cloud) for fp in pairs]
+        for (vm, nm, cloud), scene, want in zip(frames, scenes, want_clouds, strict=True):
+            want_vm = project(scene.points, cfg.projection)
+            for got, ref in ((vm, want_vm), (nm, compute_normal_map(want_vm))):
+                np.testing.assert_array_equal(got.grid, ref.grid)
+                np.testing.assert_array_equal(got.valid, ref.valid)
+            np.testing.assert_array_equal(cloud.points, want.points)
+            np.testing.assert_array_equal(cloud.normals, want.normals)
+            assert (cloud.side_length, cloud.passes, cloud.met_target) == (
                 want.side_length, want.passes, want.met_target)
 
     def test_a_failing_scan_raises_to_the_caller(self):
@@ -389,6 +404,13 @@ class TestPooledStages:
         good = scan_from_pose(_scene(), Pose.identity()).points
         with pytest.raises(ValueError, match="need more than k=10"):
             build_frame_pairs([good, good[:5], good], cfg)    # too few points to plane-fit
+        with pytest.raises(ValueError, match="cannot project an empty cloud"):
+            build_frame_pairs([good, good[:0], good], cfg)
+
+    def test_clouds_must_match_scans_one_to_one(self):
+        scans = [scan_from_pose(_scene(), Pose(t=[0.15 * k, 0.0, 0.0])) for k in range(3)]
+        with pytest.raises(ValueError, match="2 clouds for 3 scans"):
+            build_frame_pairs(scans, _tiny_cfg(), clouds=[s.as_cloud() for s in scans[:2]])
 
     @pytest.mark.parametrize("mode", ["classical", "hybrid"])
     def test_registrations_keep_pair_order_and_flags(self, mode):
