@@ -34,7 +34,7 @@ from .nn import (Adam, AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
                  gradcheck, load_checkpoint, save_checkpoint)
 from .pipeline import (OdometryModel, build_frame_pairs, composed_pose_gradients,
                        run_sequence, train_epoch)
-from .preprocess import PreprocessedCloud, preprocess_cloud
+from .preprocess import PLANEFIT_K, PreprocessedCloud, preprocess_cloud
 from .registration import RegistrationError, register
 from .synth import corridor_sequence
 
@@ -82,18 +82,29 @@ def _add_config_flags(p):
                    help="override a single config value (repeatable)")
 
 
+def _read_scan(path: Path) -> np.ndarray:
+    """A velodyne scan's (N, 3) points, checked to hold more than PLANEFIT_K
+    finite points, as preprocessing needs."""
+    points = read_velodyne_bin(path)[:, :3]
+    finite = np.isfinite(points).all(axis=1).sum()
+    if finite <= PLANEFIT_K:
+        raise FormatError(f"{path}: {finite} finite points; preprocessing needs "
+                          f"more than {PLANEFIT_K}")
+    return points
+
+
 def _load_cloud(path: Path, cfg):
     """A loss-side cloud from either a preprocessed .npz or a raw scan."""
     if path.suffix == ".npz":
         return read_cloud(path)
-    return preprocess_cloud(read_velodyne_bin(path)[:, :3], cfg.voxel)
+    return preprocess_cloud(_read_scan(path), cfg.voxel)
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
-    cloud = preprocess_cloud(read_velodyne_bin(args.input)[:, :3], cfg.voxel)
+    cloud = preprocess_cloud(_read_scan(args.input), cfg.voxel)
     write_cloud(args.output, cloud)
     dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
     print(f"{len(cloud.points)} points, voxel side {cloud.side_length:.3f} m "
@@ -165,9 +176,11 @@ def _load_sequence(data_dir: Path, cfg, network: bool):
         if len(record_times) != len(records):
             raise FormatError(f"{data_dir / 'oxts_times.txt'}: {len(record_times)} times "
                               f"for {len(records)} OXTS records")
-        imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
-    points = [read_velodyne_bin(p)[:, :3] for p in scans]
-    pairs = build_frame_pairs(points, cfg, imu_windows=imu_windows)
+        try:
+            imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
+        except FormatError as exc:
+            raise FormatError(f"{data_dir / 'oxts_times.txt'}: {exc}") from exc
+    pairs = build_frame_pairs([_read_scan(p) for p in scans], cfg, imu_windows=imu_windows)
     _warn_missed_targets([fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs])
     return pairs
 
@@ -198,6 +211,9 @@ def cmd_train(args) -> int:
             print("training loss became non-finite", file=sys.stderr)
             return EXIT_NUMERICAL
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
+    if not all(np.isfinite(p.value).all() for p in model.parameters().values()):
+        print("a parameter became non-finite; no checkpoint saved", file=sys.stderr)
+        return EXIT_NUMERICAL
     save_checkpoint(out / "model.ckpt", model.state_arrays(), config=config_to_dict(cfg))
     print(f"saved {out / 'model.ckpt'}")
     return 0
@@ -266,8 +282,8 @@ def gradient_suite(rng: np.random.Generator) -> dict[str, GradcheckResult]:
     network: `loss_gradient` and both factors of `composed_pose_gradients`.
     The blocks are built here, so in float64, as `gradcheck` requires.
     """
-    def check(module, x, *fwd_bwd):
-        return gradcheck(module, x, rng, *fwd_bwd)
+    def check(module, x):
+        return gradcheck(module, x, rng)
 
     def check_pose(loss, grad, p):
         # gradcheck's scalar is g * loss for a random g, so its gradient is g * grad
@@ -278,8 +294,7 @@ def gradient_suite(rng: np.random.Generator) -> dict[str, GradcheckResult]:
         "linear": check(Linear(7, 5, rng), rng.standard_normal((4, 7))),
         "attention-head": check(AttentionHead(6, rng), rng.standard_normal((3, 6))),
         "fc-head": check(FcActivationHead(6, rng), rng.standard_normal((3, 6))),
-        "lstm": check(LSTM(4, 5, rng), rng.standard_normal((2, 6, 4)),
-                      lambda m, x: m(x)[0], lambda m, g: m.backward(grad_hs=g)),
+        "lstm": check(LSTM(4, 5, rng), rng.standard_normal((2, 6, 4))),
         "conv2d": check(Conv2d(3, 4, rng=rng), rng.standard_normal((2, 3, 6, 6))),
         "channel-norm": check(ChannelNorm(3), rng.standard_normal((2, 3, 5, 5))),
         "resblock": check(ResBlock(3, 5, stride=2, rng=rng), rng.standard_normal((1, 3, 8, 8))),

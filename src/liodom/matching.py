@@ -26,7 +26,8 @@ from .preprocess import PreprocessedCloud
 
 
 class EmptyMatchError(RuntimeError):
-    """No correspondences survived the rejection threshold."""
+    """No correspondences: the target cloud is empty, or none survived the
+    rejection threshold."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class KdIndex:
 
     def __init__(self, cloud: PreprocessedCloud):
         if len(cloud) == 0:
-            raise ValueError("cannot index an empty cloud")
+            raise EmptyMatchError("cannot index an empty cloud")
         self.cloud = cloud
         self._tree = cKDTree(cloud.points, balanced_tree=False)
 

@@ -93,51 +93,40 @@ class LSTM(Module):
         self.bias = Param(np.zeros(4 * h))
         self.hidden_size = h
 
-    def forward(self, x: np.ndarray):
-        """Returns (hidden sequence (B, S, H), final hidden (B, H)) from zero states."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The final hidden state (B, H) of (B, S, F) windows, from zero states."""
         x = np.asarray(x, dtype=self.w_ih.value.dtype)
         B, S, _ = x.shape
         H = self.hidden_size
         h = np.zeros((B, H), dtype=x.dtype)
         c = np.zeros((B, H), dtype=x.dtype)
         steps = []
-        hs = np.empty((B, S, H), dtype=x.dtype)
         for s in range(S):
             z = x[:, s] @ self.w_ih.value.T + h @ self.w_hh.value.T + self.bias.value
             i = sigmoid(z[:, :H])
             f = sigmoid(z[:, H:2 * H])
             g = np.tanh(z[:, 2 * H:3 * H])
             o = sigmoid(z[:, 3 * H:])
-            c_prev = c
+            h_prev, c_prev = h, c
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h = o * tc
-            hs[:, s] = h
-            steps.append((x[:, s], i, f, g, o, c_prev, tc))
-        # each step also needs the previous hidden state for w_hh grads
-        h_prevs = np.concatenate([np.zeros((B, 1, H), dtype=x.dtype), hs[:, :-1]], axis=1)
-        self._cache = (steps, h_prevs)
-        return hs, h
+            steps.append((x[:, s], h_prev, c_prev, i, f, g, o, tc))
+        self._cache = steps
+        return h
 
-    def backward(self, grad_hs: np.ndarray | None = None,
-                 grad_h_final: np.ndarray | None = None) -> np.ndarray:
-        """Backprop through time; returns gradient w.r.t. the input sequence."""
-        steps, h_prevs = self._cache
-        B = steps[0][0].shape[0]
-        S = len(steps)
-        H = self.hidden_size
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Backprop through time from the final hidden state's gradient;
+        returns the gradient w.r.t. the input windows."""
+        steps = self._cache
         dtype = self.w_ih.value.dtype
-        grad_hs = np.zeros((B, S, H), dtype) if grad_hs is None else np.array(grad_hs, dtype)
-        if grad_h_final is not None:
-            grad_hs[:, -1] += grad_h_final
-        gx = np.zeros((B, S, self.w_ih.value.shape[1]), dtype)
-        dh_next = np.zeros((B, H), dtype)
-        dc_next = np.zeros((B, H), dtype)
-        for s in reversed(range(S)):
-            xt, i, f, g, o, c_prev, tc = steps[s]
-            dh = grad_hs[:, s] + dh_next
+        dh = np.asarray(grad_out, dtype)
+        dc = np.zeros_like(dh)
+        gx = np.empty((len(dh), len(steps), self.w_ih.value.shape[1]), dtype)
+        for s in reversed(range(len(steps))):
+            xt, h_prev, c_prev, i, f, g, o, tc = steps[s]
             do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
+            dc = dh * o * (1.0 - tc * tc) + dc
             di = dc * g
             df = dc * c_prev
             dg = dc * i
@@ -145,9 +134,9 @@ class LSTM(Module):
                 [di * i * (1.0 - i), df * f * (1.0 - f),
                  dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
             self.w_ih.grad += dz.T @ xt
-            self.w_hh.grad += dz.T @ h_prevs[:, s]
+            self.w_hh.grad += dz.T @ h_prev
             self.bias.grad += dz.sum(axis=0)
             gx[:, s] = dz @ self.w_ih.value
-            dh_next = dz @ self.w_hh.value
-            dc_next = dc * f
+            dh = dz @ self.w_hh.value
+            dc = dc * f
         return gx

@@ -57,6 +57,14 @@ class TrainParams:
         for name in ("batch_size", "lr_step_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
+        if not (self.learning_rate > 0 and self.lr_gamma > 0):
+            raise ValueError(f"train.learning_rate and train.lr_gamma must be positive, "
+                             f"got {self.learning_rate} and {self.lr_gamma}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"train.weight_decay must be non-negative, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,8 @@ class OdometryModel(Module):
             return None, None
         if windows is None:
             raise ValueError(f"imu_mode={mode} requires an IMU window")
-        _, h_g = self.lstm_gyro(windows[:, :, 3:6])
-        _, h_a = self.lstm_acc(windows[:, :, 0:3])
+        h_g = self.lstm_gyro(windows[:, :, 3:6])
+        h_a = self.lstm_acc(windows[:, :, 0:3])
         if mode == "feature-concat":
             return None, np.concatenate([h_g, h_a], axis=1)
         p_hat = np.concatenate([self.fc_q_init(h_g), self.fc_t_init(h_a)], axis=1)
@@ -228,8 +236,8 @@ class OdometryModel(Module):
             gh_g, gh_a = np.split(grads["imu"], 2, axis=1)
         else:
             return
-        self.lstm_gyro.backward(grad_h_final=gh_g)
-        self.lstm_acc.backward(grad_h_final=gh_a)
+        self.lstm_gyro.backward(gh_g)
+        self.lstm_acc.backward(gh_a)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ class VoxelParams:
     def __post_init__(self):
         if self.side_length <= 0 or self.step <= 0:
             raise ValueError("voxel side length and step must be positive")
+        for name, least in (("target", 1), ("tolerance", 0), ("max_iterations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"voxel.{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,17 @@ def register(
     """Estimate the pose aligning source onto target; returns (Pose, diagnostics).
 
     Raises RegistrationError, whose .pose is the pose to fall back to: the
-    identity when `init` is not finite, `init` when any matching is empty
-    or has fewer than POSE_DOF pairs, or when the result is not finite.
+    identity when `init` is not finite, `init` when the target is empty,
+    when any matching is empty or has fewer than POSE_DOF pairs, or when
+    the result is not finite.
     """
     p = init.as_vector()
     if not np.isfinite(p).all():
         raise RegistrationError("non-finite initial pose", Pose.identity())
-    index = build_index(target)
+    try:
+        index = build_index(target)
+    except EmptyMatchError as exc:
+        raise RegistrationError(str(exc), init) from exc
     diag = RegistrationDiagnostics()
     alpha, lam = weights.alpha, weights.lam
 

@@ -9,7 +9,7 @@ from liodom import cli, pipeline
 from liodom.cli import main
 from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
-from liodom.dataset_io import read_poses, write_poses
+from liodom.dataset_io import read_poses, write_poses, write_velodyne_bin
 from liodom.geometry import Pose
 from liodom.nn import GradcheckResult, gradcheck
 
@@ -170,6 +170,18 @@ class TestCliRoundTrip:
                      "--mode", "classical"] + TINY_FLAGS) == 0
         assert len(read_poses(est)) == 3
 
+    def test_infer_flags_a_pair_with_an_empty_loss_cloud(self, tmp_path, capsys):
+        # collinear points fit no valid plane-fit normal, so scan 1's cloud is empty
+        data = _synth(tmp_path, frames=3)
+        t = np.linspace(0.0, 1.0, 400)[:, None]
+        write_velodyne_bin(data / "velodyne" / "000001.bin",
+                           np.hstack([5.0 + 3.0 * t, 1.0 + t, 0.5 + 0.0 * t, 0.0 * t]))
+        est = tmp_path / "est.txt"
+        assert main(["infer", "--data", str(data), "--output", str(est),
+                     "--mode", "classical"]) == 0
+        assert len(read_poses(est)) == 3
+        assert "pair(s) fell back to the initial pose" in capsys.readouterr().err
+
     def test_export_traj(self, tmp_path):
         data = _synth(tmp_path, frames=3)
         calib = tmp_path / "calib.txt"
@@ -286,6 +298,14 @@ class TestExitCodes:
         "pipeline.feature_dim=0",
         "pipeline.lstm_hidden=0",
         "projection.eta_h=-0.5",
+        "train.learning_rate=0.0",
+        "train.beta1=1.0",
+        "train.beta2=-0.1",
+        "train.weight_decay=-1e-5",
+        "train.lr_gamma=0.0",
+        "voxel.target=0",
+        "voxel.tolerance=-5",
+        "voxel.max_iterations=0",
     ])
     def test_usage_error_on_invalid_value(self, capsys, setting):
         assert main(["preprocess", "--input", "x", "--output", "y",
@@ -396,7 +416,19 @@ class TestExitCodes:
         assert len(read_poses(est)) == 3
         assert main(["infer", "--data", str(data), "--output", str(est),
                      "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
-        assert "data error: no IMU records in scan interval" in capsys.readouterr().err
+        assert (f"data error: {data / 'oxts_times.txt'}: no IMU records in scan interval"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("points", [0, 5], ids=["empty", "five-points"])
+    def test_data_error_on_scan_too_small_to_preprocess(self, tmp_path, capsys, points):
+        data = _synth(tmp_path, frames=3)
+        scan = data / "velodyne" / "000001.bin"
+        write_velodyne_bin(scan, np.random.default_rng(0).uniform(-5, 5, (points, 4)))
+        assert main(["infer", "--data", str(data), "--output", str(tmp_path / "e.txt"),
+                     "--mode", "classical"]) == 2
+        assert f"data error: {scan}: {points} finite points" in capsys.readouterr().err
+        assert main(["preprocess", "--input", str(scan), "--output", str(tmp_path / "c.npz")]) == 2
+        assert f"data error: {scan}: {points} finite points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cut", ["not-a-checkpoint", "truncated-arrays", "truncated-header"])
     def test_data_error_on_malformed_checkpoint(self, tmp_path, capsys, lam0_run, cut):
@@ -435,6 +467,23 @@ class TestExitCodes:
         assert main(["infer", "--data", str(data), "--output", str(est),
                      "--checkpoint", str(ckpt), "--mode", "classical"]) == 0
         assert len(read_poses(est)) == 2
+
+    def test_numerical_error_on_non_finite_parameters(self, tmp_path, capsys, monkeypatch):
+        # the epoch's loss is computed before its step, so only the
+        # parameters show the NaN that the last step writes
+        step = cli.Adam.step
+
+        def nan_step(self):
+            step(self)
+            next(iter(self.params.values())).value.flat[0] = np.nan
+
+        monkeypatch.setattr(cli.Adam, "step", nan_step)
+        data = _synth(tmp_path, frames=2)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--output-dir", str(run),
+                     "--set", "train.epochs=1"] + TINY_FLAGS + SHORT_WALK) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (run / "model.ckpt").exists()
 
     def test_numerical_error_on_hopeless_registration(self, tmp_path):
         rng = np.random.default_rng(0)

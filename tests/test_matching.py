@@ -49,7 +49,7 @@ class TestKdTreeExactness:
             total += len(qs)
 
     def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyMatchError):
             build_index(_cloud(np.empty((0, 3))))
 
 

@@ -43,20 +43,8 @@ def test_lstm_gradcheck(seed):
     rng = np.random.default_rng(seed)
     m = LSTM(3, 4, rng)
     x = rng.standard_normal((2, 5, 3))
-    f = lambda mod, a: mod(a)[0]
-    b = lambda mod, g: mod.backward(grad_hs=g)
-    assert gradcheck(m, x, rng, f, b, n_checks=5).worst < 1e-4
-    assert gradcheck(m, x, rng, f, b, n_checks=8, wrt_input=True).worst < 1e-4
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_lstm_final_hidden_gradcheck(seed):
-    rng = np.random.default_rng(seed)
-    m = LSTM(3, 4, rng)
-    x = rng.standard_normal((1, 6, 3))
-    f = lambda mod, a: mod(a)[1]
-    b = lambda mod, g: mod.backward(grad_h_final=g)
-    assert gradcheck(m, x, rng, f, b, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
+    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -204,12 +192,11 @@ def test_lstm_single_step_hand_computed():
     m.w_ih.value[:] = 0.5
     m.w_hh.value[:] = 0.5
     m.bias.value[:] = 0.0
-    hs, h = m(np.array([[[1.0]]]))
+    h = m(np.array([[[1.0]]]))
     s = 1.0 / (1.0 + math.exp(-0.5))
     c = s * math.tanh(0.5)
     expected = s * math.tanh(c)
     assert h[0, 0] == pytest.approx(expected, abs=1e-14)
-    assert hs[0, 0, 0] == h[0, 0]
 
 
 def test_attention_head_formula():
@@ -252,12 +239,7 @@ def test_layer_computes_in_its_parameters_dtype(name):
     m.set_training(True)
     x = rng.standard_normal(shape)
     out = m(x)
-    if name == "lstm":
-        out, h = out
-        assert h.dtype == np.float32
-        gx = m.backward(grad_hs=np.ones(out.shape, np.float32))
-    else:
-        gx = m.backward(np.ones(out.shape, np.float32))
+    gx = m.backward(np.ones(out.shape, np.float32))
     assert out.dtype == gx.dtype == np.float32
     for k, v in {**{k: p.grad for k, p in m.parameters().items()}, **m.state_arrays()}.items():
         assert v.dtype == np.float32, k

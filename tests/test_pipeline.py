@@ -571,6 +571,17 @@ def test_pixel_matching_skips_pair_without_valid_normals():
     assert stats.pairs_used == 1
 
 
+def test_nearest_matching_skips_pair_with_empty_target():
+    cfg = _tiny_cfg(imu_mode="none")
+    pairs, _ = _pairs(cfg)
+    empty = PreprocessedCloud(np.empty((0, 3)), np.empty((0, 3)))
+    bad = dataclasses.replace(pairs[0], last_cloud=empty)
+    model = OdometryModel(cfg)
+    opt = Adam(model.parameters(), lr=1e-4)
+    stats = train_epoch([bad, pairs[1]], model, opt, cfg)
+    assert (stats.pairs_used, stats.pairs_skipped) == (1, 1)
+
+
 def test_build_frame_pairs_counts():
     cfg = _tiny_cfg()
     pairs, _ = _pairs(cfg, n_frames=5)
