@@ -190,6 +190,8 @@ def cmd_train(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = _load_sequence(Path(args.data), cfg, network=True)
+    if not pairs:
+        raise FormatError(f"{args.data}: one scan, so no frame pair to train on")
     model = OdometryModel(cfg)
     optimizer = Adam(model.parameters(), lr=cfg.train.learning_rate,
                      betas=(cfg.train.beta1, cfg.train.beta2),
@@ -199,6 +201,7 @@ def cmd_train(args) -> int:
     dump_config(cfg, out / "resolved_config.yaml")
     t0 = time.time()
     log_lines = ["epoch,mean_loss,mean_po2pl,mean_pl2pl,pairs,skipped,lr"]
+    failure = None
     for epoch in range(cfg.train.epochs):
         stats = train_epoch(pairs, model, optimizer, cfg, epoch=epoch,
                             scheduler=scheduler)
@@ -207,12 +210,17 @@ def cmd_train(args) -> int:
                          f"{stats.pairs_skipped},{stats.learning_rate:.2e}")
         print(f"epoch {epoch:3d}  loss {stats.mean_loss:10.4f}  "
               f"lr {stats.learning_rate:.2e}  ({time.time() - t0:.1f}s)")
-        if not np.isfinite(stats.mean_loss):
-            print("training loss became non-finite", file=sys.stderr)
-            return EXIT_NUMERICAL
+        # train_step refuses a non-finite pose, loss or pose gradient, so
+        # the mean loss is finite whenever a pair trained
+        if stats.pairs_used == 0:
+            failure = (f"epoch {epoch} trained no pair: {stats.pairs_skipped} of {len(pairs)} "
+                       f"skipped (no matches, or a non-finite pose, loss or gradient)")
+            break
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
     if not all(np.isfinite(p.value).all() for p in model.parameters().values()):
-        print("a parameter became non-finite; no checkpoint saved", file=sys.stderr)
+        failure = "a parameter became non-finite; no checkpoint saved"
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return EXIT_NUMERICAL
     save_checkpoint(out / "model.ckpt", model.state_arrays(), config=config_to_dict(cfg))
     print(f"saved {out / 'model.ckpt'}")

@@ -3,9 +3,9 @@
 Formats: velodyne .bin scans (little-endian float32, 4 per point), pose
 text files (12 reals per line, row-major upper 3x4), calib text files
 (key: 12 reals), OXTS inertial text records (>= 23 whitespace fields
-per line), timestamp files (one real per line), and preprocessed clouds
-(.npz). Readers reject malformed input and values that are not finite,
-naming the file and, in text files, the line.
+per line), timestamp files (one real per line, never decreasing), and
+preprocessed clouds (.npz). Readers reject malformed input and values
+that are not finite, naming the file and, in text files, the line.
 """
 
 from __future__ import annotations
@@ -70,10 +70,16 @@ def read_cloud(path) -> PreprocessedCloud:
 
 
 def read_times(path) -> np.ndarray:
-    """A timestamp file such as times.txt: one real per line, in seconds."""
+    """A timestamp file such as times.txt: one real per line, in seconds,
+    none smaller than the one before."""
     with open(path) as f:
-        return np.array([_reals(line.split(), path, lineno, 1)[0]
-                         for lineno, line in enumerate(f, start=1) if line.strip()])
+        rows = [(lineno, _reals(line.split(), path, lineno, 1)[0])
+                for lineno, line in enumerate(f, start=1) if line.strip()]
+    for (_, before), (lineno, t) in zip(rows, rows[1:]):
+        if t < before:
+            raise FormatError(f"{path}: line {lineno} has time {t}, smaller than the time "
+                              f"before it ({before})")
+    return np.array([t for _, t in rows])
 
 
 def read_oxts(directory) -> np.ndarray:

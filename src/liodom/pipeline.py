@@ -85,14 +85,10 @@ class PipelineConfig:
     train: TrainParams = field(default_factory=TrainParams)
 
     def __post_init__(self):
-        if self.imu_mode not in IMU_MODES:
-            raise ValueError(f"imu_mode must be one of {IMU_MODES}")
-        if self.head_mode not in HEAD_MODES:
-            raise ValueError(f"head_mode must be one of {HEAD_MODES}")
-        if self.head_type not in HEAD_TYPES:
-            raise ValueError(f"head_type must be one of {HEAD_TYPES}")
-        if self.matching not in MATCHING:
-            raise ValueError(f"matching must be one of {MATCHING}")
+        for name, choices in (("imu_mode", IMU_MODES), ("head_mode", HEAD_MODES),
+                              ("head_type", HEAD_TYPES), ("matching", MATCHING)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
         for name in ("feature_dim", "lstm_hidden", "imu_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -124,10 +120,10 @@ def _make_head(head_type: str, dim: int, rng):
 class OdometryModel(Module):
     """Siamese IMU LSTMs, map-pair encoders, and residual-pose heads.
 
-    The ablations are one table of feature blocks: `feature_blocks` sizes
-    each block the model produces (`v`; `n` unless vertex-only; `imu`, the
-    LSTM states, in feature-concat mode) and `head_inputs` lists the blocks
-    each head reads. The forward concatenates and the backward splits by it.
+    The heads read one feature vector x: the vertex features `v`, then the
+    normal features `n` unless vertex-only, then the two LSTM states in
+    feature-concat mode. head_q reads all of x; head_t reads
+    `x[:, t_columns]`, which in two-branch mode leaves out the `n` columns.
     Every method takes and returns arrays with a leading batch axis B.
 
     Output FC layers are zero-initialized so the untrained network emits
@@ -152,23 +148,20 @@ class OdometryModel(Module):
         self.fc_t_init = Linear(cfg.lstm_hidden, 3, zero_init=True)
         self.vertex_encoder = MapEncoder(cfg.encoder_widths, F, rng=rng)
         self.normal_encoder = None
-        self.feature_blocks = {"v": F}
+        self.n_end = F          # x's n columns are [F, n_end); the LSTM states follow
         if cfg.head_mode != "vertex-only":
             self.normal_encoder = MapEncoder(cfg.encoder_widths, F, rng=rng)
-            self.feature_blocks["n"] = F
-        if cfg.imu_mode == "feature-concat":
-            self.feature_blocks["imu"] = 2 * cfg.lstm_hidden
-        t_reads = ("v", "imu") if cfg.head_mode == "two-branch" else ("v", "n", "imu")
-        self.head_inputs = {head: tuple(b for b in reads if b in self.feature_blocks)
-                            for head, reads in (("t", t_reads), ("q", ("v", "n", "imu")))}
-        self.t_dim, self.q_dim = (sum(self.feature_blocks[b] for b in self.head_inputs[h])
-                                  for h in ("t", "q"))
-        self.head_t = _make_head(cfg.head_type, self.t_dim, rng)
+            self.n_end = 2 * F
+        width = self.n_end + (2 * cfg.lstm_hidden if cfg.imu_mode == "feature-concat" else 0)
+        self.t_columns = np.arange(width)
+        if cfg.head_mode == "two-branch":
+            self.t_columns = np.delete(self.t_columns, np.s_[F:self.n_end])
+        self.head_t = _make_head(cfg.head_type, len(self.t_columns), rng)
         self.head_q = None
         if cfg.head_mode == "two-branch":
-            self.head_q = _make_head(cfg.head_type, self.q_dim, rng)
-        self.out_t = Linear(self.t_dim, 3, zero_init=True)
-        self.out_q = Linear(self.q_dim, 3, zero_init=True)
+            self.head_q = _make_head(cfg.head_type, width, rng)
+        self.out_t = Linear(len(self.t_columns), 3, zero_init=True)
+        self.out_q = Linear(width, 3, zero_init=True)
         self.cast(np.float32)
 
     @property
@@ -198,15 +191,16 @@ class OdometryModel(Module):
                       imu_feats: np.ndarray | None) -> np.ndarray:
         """Residual pose vectors (B, 6) from stacked map pairs (B, 6, H, W) and
         optional IMU features."""
-        blocks = {"v": self.vertex_encoder(v_pairs), "imu": imu_feats}
+        blocks = [self.vertex_encoder(v_pairs)]
         if self.normal_encoder is not None:
             if n_pairs is None:
                 raise ValueError("head mode requires a normal-map pair")
-            blocks["n"] = self.normal_encoder(n_pairs)
-        x_t, x_q = (np.concatenate([blocks[b] for b in self.head_inputs[h]], axis=1)
-                    for h in ("t", "q"))
-        h_t = self.head_t(x_t)
-        h_q = h_t if self.head_q is None else self.head_q(x_q)
+            blocks.append(self.normal_encoder(n_pairs))
+        if self.cfg.imu_mode == "feature-concat":
+            blocks.append(imu_feats)
+        x = np.concatenate(blocks, axis=1)
+        h_t = self.head_t(x[:, self.t_columns])
+        h_q = h_t if self.head_q is None else self.head_q(x)
         p_delta = np.concatenate([self.cfg.q_scale * self.out_q(h_q), self.out_t(h_t)], axis=1)
         return p_delta.astype(float)
 
@@ -217,23 +211,19 @@ class OdometryModel(Module):
         gh_q = self.out_q.backward(self.cfg.q_scale * grad_delta[:, :3])
         gh_t = self.out_t.backward(grad_delta[:, 3:])
         if self.head_q is None:  # one backward on the summed output gradients
-            head_grads = {"t": self.head_t.backward(gh_t + gh_q)}
+            gx = self.head_t.backward(gh_t + gh_q)
         else:
-            head_grads = {"t": self.head_t.backward(gh_t), "q": self.head_q.backward(gh_q)}
-        grads = {}
-        for head, gx in head_grads.items():
-            reads = self.head_inputs[head]
-            parts = np.split(gx, np.cumsum([self.feature_blocks[b] for b in reads])[:-1], axis=1)
-            for b, part in zip(reads, parts):
-                grads[b] = grads[b] + part if b in grads else part
-        self.vertex_encoder.backward(grads["v"])
+            gx = self.head_q.backward(gh_q)
+            gx[:, self.t_columns] += self.head_t.backward(gh_t)
+        gv, gn, g_imu = np.split(gx, [self.cfg.feature_dim, self.n_end], axis=1)
+        self.vertex_encoder.backward(gv)
         if self.normal_encoder is not None:
-            self.normal_encoder.backward(grads["n"])
+            self.normal_encoder.backward(gn)
         if self.cfg.imu_mode == "initial-pose":
             gh_g = self.fc_q_init.backward(grad_hat[:, :3])
             gh_a = self.fc_t_init.backward(grad_hat[:, 3:])
         elif self.cfg.imu_mode == "feature-concat":
-            gh_g, gh_a = np.split(grads["imu"], 2, axis=1)
+            gh_g, gh_a = np.split(g_imu, 2, axis=1)
         else:
             return
         self.lstm_gyro.backward(gh_g)
@@ -365,35 +355,28 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
         scheduler.set_epoch(epoch)
     model.set_training(True)
     bs = cfg.train.batch_size
-    losses, po, pl = [], [], []
+    rows = []                       # (loss, point-to-plane, plane-to-plane) per trained pair
     skipped = 0
     for start in range(0, len(pairs), bs):
-        batch = pairs[start:start + bs]
         model.zero_grad()
-        used = 0
-        for fp in batch:
+        before = len(rows)
+        for fp in pairs[start:start + bs]:
             try:
                 loss, terms, _ = train_step(fp, model, cfg)
             except (EmptyMatchError, NonFinitePairError):
                 skipped += 1
                 continue
-            losses.append(loss)
-            po.append(terms[0])
-            pl.append(terms[1])
-            used += 1
+            rows.append((loss, *terms))
+        used = len(rows) - before
         if used == 0:
             continue
         for p in model.parameters().values():
             p.grad /= used
         optimizer.step()
     model.set_training(False)
-    return EpochStats(
-        mean_loss=float(np.mean(losses)) if losses else float("nan"),
-        mean_po2pl=float(np.mean(po)) if po else float("nan"),
-        mean_pl2pl=float(np.mean(pl)) if pl else float("nan"),
-        pairs_used=len(losses), pairs_skipped=skipped,
-        learning_rate=optimizer.lr,
-    )
+    means = [float(np.mean(col)) for col in zip(*rows)] or [float("nan")] * 3
+    return EpochStats(*means, pairs_used=len(rows), pairs_skipped=skipped,
+                      learning_rate=optimizer.lr)
 
 
 def _pool_map(fn, *iterables) -> list:
@@ -432,6 +415,9 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
 
     if clouds is not None and len(clouds) != len(scans):
         raise ValueError(f"{len(clouds)} clouds for {len(scans)} scans")
+    if imu_windows is not None and len(imu_windows) != max(len(scans) - 1, 0):
+        raise ValueError(f"{len(imu_windows)} IMU windows for {len(scans)} scans; "
+                         f"need one per consecutive scan pair")
     frames = _pool_map(frame, scans, [None] * len(scans) if clouds is None else clouds)
     return [FramePair(v_last=v0, n_last=n0, v_cur=v1, n_cur=n1, last_cloud=c0, cur_cloud=c1,
                       imu=None if imu_windows is None else imu_windows[k])

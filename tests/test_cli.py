@@ -399,6 +399,19 @@ class TestExitCodes:
                      "--checkpoint", str(ckpt), "--mode", "learned"]) == 2
         assert f"data error: {data / name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["times.txt", "oxts_times.txt"])
+    def test_data_error_on_decreasing_times(self, tmp_path, capsys, name):
+        data = _synth(tmp_path, frames=3)
+        times = np.loadtxt(data / name)
+        bad = times[::-1] if name == "times.txt" else np.random.default_rng(0).permutation(times)
+        np.savetxt(data / name, bad, fmt="%.9f")
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--output-dir", str(run),
+                     "--set", "train.epochs=1"] + TINY_FLAGS + SHORT_WALK) == 2
+        assert re.search(rf"data error: {re.escape(str(data / name))}: line \d+ has time",
+                         capsys.readouterr().err)
+        assert not (run / "model.ckpt").exists()
+
     def test_classical_inference_reads_no_imu(self, tmp_path, capsys, lam0_run):
         _, ckpt = lam0_run
         data = _synth(tmp_path, frames=3)
@@ -483,6 +496,23 @@ class TestExitCodes:
         assert main(["train", "--data", str(data), "--output-dir", str(run),
                      "--set", "train.epochs=1"] + TINY_FLAGS + SHORT_WALK) == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not (run / "model.ckpt").exists()
+
+    def test_data_error_on_training_with_one_scan(self, tmp_path, capsys):
+        data = _synth(tmp_path, frames=1)
+        assert main(["train", "--data", str(data), "--output-dir", str(tmp_path / "run"),
+                     "--set", "train.epochs=2"] + TINY_FLAGS) == 2
+        assert f"data error: {data}: one scan" in capsys.readouterr().err
+
+    def test_numerical_error_on_an_epoch_with_no_trained_pair(self, tmp_path, capsys):
+        data = _synth(tmp_path, frames=3)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--output-dir", str(run),
+                     "--set", "train.epochs=2", "--set", "pipeline.max_match_dist=1e-9"]
+                    + TINY_FLAGS) == 3
+        assert "epoch 0 trained no pair: 2 of 2 skipped" in capsys.readouterr().err
+        log = (run / "train_log.csv").read_text().splitlines()
+        assert log[1:] == ["0,nan,nan,nan,0,2,1.00e-04"]
         assert not (run / "model.ckpt").exists()
 
     def test_numerical_error_on_hopeless_registration(self, tmp_path):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from liodom.dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
-                               read_oxts, read_poses, read_velodyne_bin,
+                               read_oxts, read_poses, read_times, read_velodyne_bin,
                                window_imu, write_oxts, write_poses,
                                write_velodyne_bin)
 from liodom.geometry import Pose
@@ -117,6 +119,20 @@ class TestWindowImu:
         r, t = self._records(10)
         with pytest.raises(ValueError):
             window_imu(r, t[:5], np.array([0.0, 0.05]), S=15)
+
+
+class TestTimes:
+    def test_equal_times_are_accepted(self, tmp_path):
+        path = tmp_path / "times.txt"
+        path.write_text("0.0\n0.1\n\n0.1\n0.2\n")
+        np.testing.assert_array_equal(read_times(path), [0.0, 0.1, 0.1, 0.2])
+
+    def test_a_decreasing_time_names_its_line(self, tmp_path):
+        path = tmp_path / "times.txt"
+        path.write_text("0.0\n\n0.2\n0.1\n0.05\n")
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}: line 4 has time 0.1, smaller"):
+            read_times(path)
 
 
 class TestPoses:

@@ -148,13 +148,35 @@ def test_vertex_only_has_no_normal_encoder():
 def test_feature_concat_widens_heads():
     base = OdometryModel(_tiny_cfg(imu_mode="none"))
     wide = OdometryModel(_tiny_cfg(imu_mode="feature-concat"))
-    assert wide.t_dim == base.t_dim + 2 * TINY.lstm_hidden
+    assert len(wide.t_columns) == len(base.t_columns) + 2 * TINY.lstm_hidden
 
 
 @pytest.fixture(scope="module")
 def tiny_pair():
     pairs, _ = _pairs(TINY)
     return pairs[0]
+
+
+@pytest.mark.parametrize("head_mode", ["two-branch", "merged"])
+def test_only_merged_translation_reads_normal_features(tiny_pair, head_mode):
+    cfg = _tiny_cfg(imu_mode="feature-concat", head_mode=head_mode)
+    model = OdometryModel(cfg)
+    rng = np.random.default_rng(0)
+    for p in model.parameters().values():     # zero output layers pass nothing through
+        if not p.value.any():
+            p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    model.set_training(False)
+    _, imu_feats = model.initial_pose(tiny_pair.imu[None])
+    v_pairs = pipeline._map_pair(tiny_pair.v_last, tiny_pair.v_cur)[None]
+    n_pairs = pipeline._map_pair(tiny_pair.n_last, tiny_pair.n_cur)[None]
+    before = model.residual_pose(v_pairs, n_pairs, imu_feats)[0]
+    n_moved = n_pairs + rng.normal(scale=0.1, size=n_pairs.shape)
+    after = model.residual_pose(v_pairs, n_moved, imu_feats)[0]
+    assert (after[:3] != before[:3]).all()      # q reads n in every head mode
+    if head_mode == "two-branch":
+        np.testing.assert_array_equal(after[3:], before[3:])
+    else:
+        assert (after[3:] != before[3:]).all()
 
 
 @pytest.mark.parametrize("head_mode", HEAD_MODES)
@@ -411,6 +433,14 @@ class TestPooledStages:
         scans = [scan_from_pose(_scene(), Pose(t=[0.15 * k, 0.0, 0.0])) for k in range(3)]
         with pytest.raises(ValueError, match="2 clouds for 3 scans"):
             build_frame_pairs(scans, _tiny_cfg(), clouds=[s.as_cloud() for s in scans[:2]])
+
+    @pytest.mark.parametrize("n_windows", [1, 6])
+    def test_imu_windows_must_match_scan_pairs(self, n_windows):
+        # empty scans fail the first per-scan step, so the count is checked before it
+        scans = [np.zeros((0, 3))] * 4
+        windows = [np.zeros((15, 6))] * n_windows
+        with pytest.raises(ValueError, match=f"{n_windows} IMU windows for 4 scans"):
+            build_frame_pairs(scans, _tiny_cfg(), imu_windows=windows)
 
     @pytest.mark.parametrize("mode", ["classical", "hybrid"])
     def test_registrations_keep_pair_order_and_flags(self, mode):
