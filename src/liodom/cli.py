@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .nn import (Adam, AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
 from .pipeline import (OdometryModel, build_frame_pairs, composed_pose_gradients,
                        run_sequence, train_epoch)
 from .preprocess import PLANEFIT_K, PreprocessedCloud, preprocess_cloud
-from .registration import RegistrationError, register
+from .registration import register
 from .synth import corridor_sequence
 
 EXIT_USAGE = 1
@@ -71,6 +72,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -248,9 +256,11 @@ def cmd_infer(args) -> int:
                               f"{exc}") from exc
     pairs = _load_sequence(Path(args.data), cfg, network=args.mode != "classical")
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
-    failed = flags.count("registration-failed")
+    failed = Counter(flag for flag in flags if flag != "ok")
     if failed:
-        print(f"warning: {failed} pair(s) fell back to the initial pose", file=sys.stderr)
+        print(f"warning: {failed.total()} of {len(flags)} pair(s) fell back to the initial pose, "
+              f"or to the identity where it is not finite: "
+              + ", ".join(f"{n} {flag}" for flag, n in failed.items()), file=sys.stderr)
     write_poses(args.output, absolute)
     dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
     print(f"wrote {len(absolute)} poses to {args.output}")
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic sequence on disk")
     p.add_argument("--output-dir", type=Path, required=True)
     p.add_argument("--frames", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--yaw-rate", type=float, default=0.0)
     p.add_argument("--speed", type=float, default=0.3)
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_traj)
 
     p = sub.add_parser("gradcheck", help="finite-difference layer self-test")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -416,7 +426,7 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (RegistrationError, EmptyMatchError, np.linalg.LinAlgError) as exc:
+    except (EmptyMatchError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -26,8 +26,9 @@ from .preprocess import PreprocessedCloud
 
 
 class EmptyMatchError(RuntimeError):
-    """No correspondences: the target cloud is empty, or none survived the
-    rejection threshold."""
+    """Matches that cannot fix a pose: the target cloud is empty, none
+    survived the rejection threshold, or (in registration) fewer than the
+    pose's degrees of freedom did."""
 
 
 @dataclass(frozen=True)

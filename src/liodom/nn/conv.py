@@ -162,6 +162,8 @@ class MapEncoder(Module):
     those biases and shifts.
     """
 
+    FLOOR = 4  # the smallest map height and width that forward takes
+
     def __init__(self, widths=(16, 32, 64), feature_dim: int = 256, *,
                  rng: np.random.Generator):
         c0, c1, c2 = widths
@@ -176,8 +178,9 @@ class MapEncoder(Module):
         self.feature_dim = feature_dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[2] < 4 or x.shape[3] < 4:
-            raise ValueError(f"map {x.shape[2]}x{x.shape[3]} below the downsampling floor 4x4")
+        if min(x.shape[2:]) < self.FLOOR:
+            raise ValueError(f"map {x.shape[2]}x{x.shape[3]} below the downsampling "
+                             f"floor {self.FLOOR}x{self.FLOOR}")
         a = self.stem_norm(self.stem(x))
         relu = a > 0
         h = a * relu

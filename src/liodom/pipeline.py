@@ -33,7 +33,7 @@ from .matching import (
 from .nn import LSTM, Adam, AttentionHead, FcActivationHead, Linear, MapEncoder, Module, StepLR
 from .preprocess import PreprocessedCloud, VoxelParams, adaptive_voxel_downsample, preprocess_cloud
 from .range_image import NormalMap, ProjectionConfig, VertexMap, compute_normal_map, project, project_with_indices, remap
-from .registration import RegistrationError, register
+from .registration import register
 
 IMU_MODES = ("initial-pose", "feature-concat", "none")
 HEAD_MODES = ("two-branch", "merged", "vertex-only")
@@ -54,7 +54,7 @@ class TrainParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "lr_step_size"):
+        for name in ("batch_size", "lr_step_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
         if not (self.learning_rate > 0 and self.lr_gamma > 0):
@@ -65,6 +65,8 @@ class TrainParams:
                 raise ValueError(f"train.{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.weight_decay >= 0:
             raise ValueError(f"train.weight_decay must be non-negative, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,10 @@ class PipelineConfig:
                              f"got {self.encoder_widths}")
         if not self.max_match_dist > 0:
             raise ValueError(f"max_match_dist must be positive, got {self.max_match_dist}")
+        if min(self.projection.H, self.projection.W) < MapEncoder.FLOOR:
+            raise ValueError(f"projection.H and projection.W must be at least {MapEncoder.FLOOR}, "
+                             f"the map encoders' floor, got {self.projection.H} and "
+                             f"{self.projection.W}")
 
 
 @dataclass(frozen=True)
@@ -308,10 +314,6 @@ def composed_pose_gradients(p_delta: np.ndarray, p_hat: np.ndarray,
     return grad_delta, grad_hat
 
 
-class NonFinitePairError(ArithmeticError):
-    """A training pair's predicted pose, loss or pose gradient is not finite."""
-
-
 @dataclass
 class EpochStats:
     mean_loss: float
@@ -325,12 +327,12 @@ class EpochStats:
 def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     """Forward + backward for one pair; gradients accumulate on the model.
 
-    Raises NonFinitePairError, before any backward, if the predicted pose,
+    Raises FloatingPointError, before any backward, if the predicted pose,
     the loss or a pose gradient is not finite.
     """
     pose, diag = estimate_pair(fp, model, cfg)
     if not np.isfinite(pose.as_vector()).all():
-        raise NonFinitePairError("predicted pose is not finite")
+        raise FloatingPointError("predicted pose is not finite")
     source, corr, terms = pair_loss(fp, pose, cfg)
     loss = cfg.weights.combine(terms)
     p_delta = diag.residual.as_vector()
@@ -338,7 +340,7 @@ def train_step(fp: FramePair, model: OdometryModel, cfg: PipelineConfig):
     grad_delta, grad_hat = composed_pose_gradients(p_delta, p_hat, source, corr, cfg.weights)
     if not (np.isfinite(loss) and np.isfinite(grad_delta).all()
             and np.isfinite(grad_hat).all()):
-        raise NonFinitePairError("loss or pose gradient is not finite")
+        raise FloatingPointError("loss or pose gradient is not finite")
     model.backward(grad_delta[None], grad_hat[None])
     return loss, terms, diag
 
@@ -363,7 +365,7 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
         for fp in pairs[start:start + bs]:
             try:
                 loss, terms, _ = train_step(fp, model, cfg)
-            except (EmptyMatchError, NonFinitePairError):
+            except (EmptyMatchError, FloatingPointError):
                 skipped += 1
                 continue
             rows.append((loss, *terms))
@@ -429,11 +431,13 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     """Chain per-pair estimates into absolute poses (first pose identity).
 
     Modes: learned (network only), classical (registration from identity),
-    hybrid (registration warm-started from the learned pose). A pair whose
-    registration fails keeps its initial pose (identity in classical mode,
-    the learned pose in hybrid) and is flagged. The model's estimates run
-    one pair after another, as its layers cache activations; the
-    registrations then run one pair per worker thread (`_pool_map`).
+    hybrid (registration warm-started from the learned pose). A pair is
+    flagged "ok", "non-finite-pose" (a learned pose that is not finite) or
+    "registration-failed" (register raised EmptyMatchError or
+    FloatingPointError). A failed pair keeps its initial pose, or the
+    identity when that is not finite. The model's estimates run one pair
+    after another, as its layers cache activations; the registrations then
+    run one pair per worker thread (`_pool_map`).
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -443,17 +447,22 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
         inits = [Pose.identity()] * len(pairs)
     else:
         inits = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
-    if mode == "learned":
-        return accumulate(inits), inits, ["ok"] * len(inits)
+
+    def finite(pose):
+        return bool(np.isfinite(pose.as_vector()).all())
 
     def register_pair(fp, init):
         try:
             pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init,
                                max_match_dist=cfg.max_match_dist, weights=cfg.weights)
             return pose, "ok"
-        except RegistrationError as exc:
-            return exc.pose, "registration-failed"
+        except (EmptyMatchError, FloatingPointError):
+            return (init if finite(init) else Pose.identity()), "registration-failed"
 
-    results = _pool_map(register_pair, pairs, inits)
+    if mode == "learned":
+        results = [(init, "ok") if finite(init) else (Pose.identity(), "non-finite-pose")
+                   for init in inits]
+    else:
+        results = _pool_map(register_pair, pairs, inits)
     relatives = [pose for pose, _ in results]
     return accumulate(relatives), relatives, [flag for _, flag in results]

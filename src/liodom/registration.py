@@ -9,7 +9,7 @@ the residual values; the absolute-value loss is used only for reporting.
 The loop has converged when the norm of the step, the last one tried if
 the line search takes none, falls below TOLERANCE. A matching that cannot
 fix a pose, empty or with fewer pairs than the pose's POSE_DOF degrees of
-freedom, raises RegistrationError at any iteration.
+freedom, raises EmptyMatchError at any iteration.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class RegistrationDiagnostics:
     converged: bool = False
 
 
-class RegistrationError(RuntimeError):
-    def __init__(self, message: str, pose: Pose):
-        super().__init__(message)
-        self.pose = pose
-
-
 def register(
     source: PreprocessedCloud,
     target: PreprocessedCloud,
@@ -60,18 +54,14 @@ def register(
 ):
     """Estimate the pose aligning source onto target; returns (Pose, diagnostics).
 
-    Raises RegistrationError, whose .pose is the pose to fall back to: the
-    identity when `init` is not finite, `init` when the target is empty,
-    when any matching is empty or has fewer than POSE_DOF pairs, or when
-    the result is not finite.
+    Raises EmptyMatchError when the target is empty, or when any matching
+    is empty or has fewer than POSE_DOF pairs; FloatingPointError when
+    `init` or the result is not finite.
     """
     p = init.as_vector()
     if not np.isfinite(p).all():
-        raise RegistrationError("non-finite initial pose", Pose.identity())
-    try:
-        index = build_index(target)
-    except EmptyMatchError as exc:
-        raise RegistrationError(str(exc), init) from exc
+        raise FloatingPointError("non-finite initial pose")
+    index = build_index(target)
     diag = RegistrationDiagnostics()
     alpha, lam = weights.alpha, weights.lam
 
@@ -81,14 +71,11 @@ def register(
 
     for iteration in range(MAX_ITERATIONS):
         diag.outer_iterations = iteration + 1
-        try:
-            corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
-                                 index, max_dist=max_match_dist)
-        except EmptyMatchError as exc:
-            raise RegistrationError(str(exc), init) from exc
+        corr = match_nearest(transformed_cloud(source, Pose.from_vector(p)),
+                             index, max_dist=max_match_dist)
         if len(corr) < POSE_DOF:
-            raise RegistrationError(f"{len(corr)} matches cannot fix the pose's "
-                                    f"{POSE_DOF} degrees of freedom", init)
+            raise EmptyMatchError(f"{len(corr)} matches cannot fix the pose's "
+                                  f"{POSE_DOF} degrees of freedom")
         diag.match_counts.append(len(corr))
         r1, J1, r2, H2, g2 = residuals(p, source, corr)
         cost_p = cost(r1, r2)
@@ -104,5 +91,5 @@ def register(
             diag.converged = True
             break
     if not np.isfinite(p).all():
-        raise RegistrationError("registration produced a non-finite pose", init)
+        raise FloatingPointError("registration produced a non-finite pose")
     return Pose.from_vector(p), diag

@@ -11,7 +11,7 @@ from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
                            dump_config, load_config)
 from liodom.dataset_io import read_poses, write_poses, write_velodyne_bin
 from liodom.geometry import Pose
-from liodom.nn import GradcheckResult, gradcheck
+from liodom.nn import GradcheckResult, gradcheck, load_checkpoint, save_checkpoint
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -265,6 +265,19 @@ class TestInferConfig:
         assert code == 0
         assert "voxel target" not in capsys.readouterr().err
 
+    def test_non_finite_learned_pose_is_flagged(self, tmp_path, lam0_run, capsys):
+        data, ckpt = lam0_run
+        arrays, config, _ = load_checkpoint(ckpt)
+        arrays["out_t.bias"] = np.full_like(arrays["out_t.bias"], np.nan)
+        nan_ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(nan_ckpt, arrays, config=config)
+        code, _ = self._infer(tmp_path, (data, nan_ckpt))
+        assert code == 0
+        poses = read_poses(tmp_path / "est.txt")
+        assert len(poses) == 2 and all(np.isfinite(p.matrix).all() for p in poses)
+        assert ("warning: 1 of 1 pair(s) fell back to the initial pose, or to the identity "
+                "where it is not finite: 1 non-finite-pose") in capsys.readouterr().err
+
     def test_mismatched_checkpoint_is_config_error(self, tmp_path, lam0_run, capsys):
         wide = tmp_path / "wide.yaml"
         wide.write_text(yaml.safe_dump({"pipeline": {"feature_dim": 32}}))
@@ -306,6 +319,9 @@ class TestExitCodes:
         "voxel.target=0",
         "voxel.tolerance=-5",
         "voxel.max_iterations=0",
+        "train.epochs=0",
+        "train.seed=-1",
+        "projection.H=2",
     ])
     def test_usage_error_on_invalid_value(self, capsys, setting):
         assert main(["preprocess", "--input", "x", "--output", "y",
@@ -314,6 +330,13 @@ class TestExitCodes:
 
     def test_usage_error_on_unknown_flag(self):
         assert main(["preprocess", "--nonsense"]) == 1
+
+    @pytest.mark.parametrize("command", [["synth", "--output-dir", "out"], ["gradcheck"]])
+    def test_usage_error_on_negative_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--seed", "-1"]) == 1
+        assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--output-dir", "out", "--frames", "0"],

@@ -8,7 +8,7 @@ import pytest
 from liodom import pipeline
 from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
-from liodom.matching import CorrespondenceSet, transformed_cloud
+from liodom.matching import CorrespondenceSet, EmptyMatchError, transformed_cloud
 from liodom.nn import (Adam, StepLR, central_difference, gradcheck, load_checkpoint,
                        save_checkpoint)
 from liodom.pipeline import (HEAD_MODES, IMU_MODES, FramePair, OdometryModel,
@@ -19,7 +19,7 @@ from liodom.preprocess import (PreprocessedCloud, VoxelParams, adaptive_voxel_do
                                preprocess_cloud)
 from liodom.range_image import (NormalMap, ProjectionConfig, VertexMap, compute_normal_map,
                                 project, remap)
-from liodom.registration import RegistrationError, register
+from liodom.registration import register
 from liodom.synth import Box, Plane, SceneSpec, Pose as _P  # noqa: F401
 from liodom.dataset_io import window_imu
 from liodom.synth import imu_records, sample_scene, scan_from_pose
@@ -376,6 +376,19 @@ class TestRunSequence:
         assert flags == ["registration-failed"] * len(pairs)
         assert all(np.isfinite(pose.matrix).all() for pose in absolute)
 
+    def test_learned_non_finite_pose_is_flagged(self):
+        cfg = _tiny_cfg(imu_mode="initial-pose")
+        pairs, _ = _pairs(cfg, n_frames=4)
+        pairs[1].imu[5, 4] = np.nan         # only pair 1's learned pose is not finite
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = [0.1, -0.05, 0.02]
+        learned = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
+        absolute, relatives, flags = run_sequence(pairs, "learned", cfg, model=model)
+        assert flags == ["ok", "non-finite-pose", "ok"]
+        for k, want in ((0, learned[0].matrix), (1, np.eye(4)), (2, learned[2].matrix)):
+            np.testing.assert_array_equal(relatives[k].matrix, want)
+        assert all(np.isfinite(pose.matrix).all() for pose in absolute)
+
     def test_learned_zero_init_gives_identity_trajectory(self):
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg)
@@ -457,8 +470,8 @@ class TestPooledStages:
                 want.append(register(fp.cur_cloud, fp.last_cloud, init=init,
                                      max_match_dist=cfg.max_match_dist, weights=cfg.weights)[0])
                 want_flags.append("ok")
-            except RegistrationError as exc:
-                want.append(exc.pose)
+            except EmptyMatchError:
+                want.append(init)
                 want_flags.append("registration-failed")
         _, relatives, flags = run_sequence(pairs, mode, cfg, model=model)
         assert flags == want_flags == ["ok", "registration-failed", "ok"]
