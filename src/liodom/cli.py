@@ -3,8 +3,10 @@
 Subcommands cover the whole toolkit: preprocessing single scans, classical
 pair registration, synthetic sequence generation, training, inference over
 a sequence, segment-error evaluation, gradient self-checks, and trajectory
-frame export. Every command that produces outputs also writes the fully
-resolved configuration next to them.
+frame export. Every command whose outputs depend on the config writes the
+resolved config next to them. A run's config is its `--config` file (in
+`infer` without one, the checkpoint's config), then its `--set` lines in
+order, the later winning.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed data,
 3 numerical failure.
@@ -20,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ABLATION_PRESETS, ConfigError, config_to_dict,
-                     dump_config, load_config)
+from .config import ConfigError, config_to_dict, dump_config, load_config
 from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib, read_cloud,
                          read_oxts, read_poses, read_times, read_velodyne_bin,
                          window_imu, write_cloud, write_oxts, write_poses,
@@ -63,9 +64,7 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _config_from_args(args, base: dict | None = None):
-    return load_config(path=getattr(args, "config", None),
-                       overrides=_parse_overrides(getattr(args, "set", None)),
-                       preset=getattr(args, "preset", None), base=base)
+    return load_config(path=args.config, overrides=_parse_overrides(args.set), base=base)
 
 
 def positive_int(text: str) -> int:
@@ -84,10 +83,8 @@ def non_negative_int(text: str) -> int:
 
 def _add_config_flags(p):
     p.add_argument("--config", type=Path, default=None, help="YAML config file")
-    p.add_argument("--preset", choices=sorted(ABLATION_PRESETS), default=None,
-                   help="ablation preset applied over the config file")
     p.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
-                   help="override a single config value (repeatable)")
+                   help="override a single config value (repeatable; later ones win)")
 
 
 def _read_scan(path: Path) -> np.ndarray:
@@ -112,6 +109,10 @@ def _load_cloud(path: Path, cfg):
 
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
+    # np.savez would append .npz, and _load_cloud reads a cloud by that suffix
+    if args.output.suffix != ".npz":
+        print(f"--output {args.output}: a cloud file must end in .npz", file=sys.stderr)
+        return EXIT_USAGE
     cloud = preprocess_cloud(_read_scan(args.input), cfg.voxel)
     write_cloud(args.output, cloud)
     dump_config(cfg, Path(args.output).with_suffix(".config.yaml"))
@@ -145,7 +146,6 @@ def cmd_register(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
     seq = corridor_sequence(n_frames=args.frames, seed=args.seed,
                             sigma=args.sigma, yaw_rate=args.yaw_rate,
                             speed=args.speed)
@@ -158,7 +158,6 @@ def cmd_synth(args) -> int:
     np.savetxt(out / "oxts_times.txt", seq.dense_times, fmt="%.9f")
     np.savetxt(out / "times.txt", seq.times, fmt="%.9f")
     write_poses(out / "poses.txt", seq.poses)
-    dump_config(cfg, out / "resolved_config.yaml")
     print(f"wrote {len(seq.scans)} scans, {len(seq.dense_records)} IMU records to {out}")
     return 0
 
@@ -236,7 +235,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    """Without --config, the checkpoint's config is the base under --preset and --set."""
+    """Without --config, the checkpoint's config is the base under --set."""
     if args.checkpoint is None and args.mode != "classical":
         print(f"mode {args.mode!r} needs --checkpoint", file=sys.stderr)
         return EXIT_USAGE
@@ -289,6 +288,12 @@ def cmd_export_traj(args) -> int:
     calib = read_calib(args.calib)
     if "Tr" not in calib:
         raise FormatError(f"{args.calib}: no Tr entry")
+    # KITTI's published calibrations are orthonormal to about 1e-7
+    R = calib["Tr"][:3, :3]
+    deviation, det = np.abs(R.T @ R - np.eye(3)).max(), np.linalg.det(R)
+    if not (deviation <= 1e-6 and det > 0):
+        raise FormatError(f"{args.calib}: Tr is not rigid: its 3x3 block has "
+                          f"max |R^T R - I| {deviation:.1e} and determinant {det:.3g}")
     write_poses(args.output, lidar_to_camera_frame(poses, calib["Tr"]))
     print(f"wrote {len(poses)} camera-frame poses to {args.output}")
     return 0
@@ -374,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--yaw-rate", type=float, default=0.0)
     p.add_argument("--speed", type=float, default=0.3)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the pose network on a sequence")

@@ -37,23 +37,6 @@ _SECTIONS = {
     **{sec: _defaults(cls) for sec, cls in _NESTED.items()},
 }
 
-# Preset config fragments matching the published ablation families.
-ABLATION_PRESETS = {
-    "imu-initial-pose": {"pipeline": {"imu_mode": "initial-pose"}},
-    "imu-feature-concat": {"pipeline": {"imu_mode": "feature-concat"}},
-    "no-imu": {"pipeline": {"imu_mode": "none"}},
-    "two-branch": {"pipeline": {"head_mode": "two-branch"}},
-    "merged-heads": {"pipeline": {"head_mode": "merged"}},
-    "vertex-only": {"pipeline": {"head_mode": "vertex-only"}},
-    "attention-head": {"pipeline": {"head_type": "attention"}},
-    "fc-head": {"pipeline": {"head_type": "fc-activation"}},
-    "nearest-matching": {"pipeline": {"matching": "nearest"}},
-    "pixel-matching": {"pipeline": {"matching": "pixel"}},
-    "no-point-to-plane": {"pipeline": {"alpha": 0.0}},
-    "no-plane-to-plane": {"pipeline": {"lam": 0.0}},
-}
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = {k: dict(v) for k, v in base.items()}
     for sec, vals in override.items():
@@ -128,11 +111,9 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None,
-                preset: str | None = None, base: dict | None = None) -> PipelineConfig:
-    """Config file (without one, the `base` sections) -> preset -> flag overrides.
-
-    Later layers win.
-    """
+                base: dict | None = None) -> PipelineConfig:
+    """Config file (without one, the `base` sections), then flag overrides,
+    which win."""
     data = base or {}
     if path is not None:
         loaded = yaml.safe_load(Path(path).read_text()) or {}
@@ -140,10 +121,6 @@ def load_config(path=None, overrides: dict | None = None,
             raise ConfigError(f"{path}: top level must be a mapping")
         data = loaded
     _check_sections(data)
-    if preset is not None:
-        if preset not in ABLATION_PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; know {sorted(ABLATION_PRESETS)}")
-        data = _merge(data, ABLATION_PRESETS[preset])
     if overrides:
         _check_sections(overrides)
         data = _merge(data, overrides)

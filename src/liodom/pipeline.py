@@ -432,12 +432,12 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
 
     Modes: learned (network only), classical (registration from identity),
     hybrid (registration warm-started from the learned pose). A pair is
-    flagged "ok", "non-finite-pose" (a learned pose that is not finite) or
+    flagged "ok", "non-finite-pose" (an initial pose that is not finite,
+    checked before registering; the pair keeps the identity) or
     "registration-failed" (register raised EmptyMatchError or
-    FloatingPointError). A failed pair keeps its initial pose, or the
-    identity when that is not finite. The model's estimates run one pair
-    after another, as its layers cache activations; the registrations then
-    run one pair per worker thread (`_pool_map`).
+    FloatingPointError; the pair keeps its initial pose). The model's
+    estimates run one pair after another, as its layers cache activations;
+    the registrations then run one pair per worker thread (`_pool_map`).
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -448,21 +448,19 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     else:
         inits = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
 
-    def finite(pose):
-        return bool(np.isfinite(pose.as_vector()).all())
-
-    def register_pair(fp, init):
+    def settle(fp, init):
+        if not np.isfinite(init.as_vector()).all():
+            return Pose.identity(), "non-finite-pose"
+        if mode == "learned":
+            return init, "ok"
         try:
             pose, _ = register(fp.cur_cloud, fp.last_cloud, init=init,
                                max_match_dist=cfg.max_match_dist, weights=cfg.weights)
             return pose, "ok"
         except (EmptyMatchError, FloatingPointError):
-            return (init if finite(init) else Pose.identity()), "registration-failed"
+            return init, "registration-failed"
 
-    if mode == "learned":
-        results = [(init, "ok") if finite(init) else (Pose.identity(), "non-finite-pose")
-                   for init in inits]
-    else:
-        results = _pool_map(register_pair, pairs, inits)
+    results = (list(map(settle, pairs, inits)) if mode == "learned"
+               else _pool_map(settle, pairs, inits))
     relatives = [pose for pose, _ in results]
     return accumulate(relatives), relatives, [flag for _, flag in results]

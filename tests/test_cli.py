@@ -7,8 +7,7 @@ import yaml
 
 from liodom import cli, pipeline
 from liodom.cli import main
-from liodom.config import (ABLATION_PRESETS, ConfigError, config_from_dict,
-                           dump_config, load_config)
+from liodom.config import ConfigError, config_from_dict, dump_config, load_config
 from liodom.dataset_io import read_poses, write_poses, write_velodyne_bin
 from liodom.geometry import Pose
 from liodom.nn import GradcheckResult, gradcheck, load_checkpoint, save_checkpoint
@@ -46,22 +45,19 @@ class TestConfigLoading:
         assert cfg.train.learning_rate == 2e-3
         assert cfg.imu_mode == "none"
 
-    def test_preset_between_file_and_flags(self, tmp_path):
+    def test_later_set_line_wins(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump({"pipeline": {"imu_mode": "initial-pose"}}))
-        cfg = load_config(p, preset="no-imu")
-        assert cfg.imu_mode == "none"
-        cfg = load_config(p, preset="no-imu",
-                          overrides={"pipeline": {"imu_mode": "feature-concat"}})
-        assert cfg.imu_mode == "feature-concat"
+        overrides = cli._parse_overrides(["pipeline.imu_mode=none", "train.epochs=3",
+                                          "pipeline.imu_mode=feature-concat"])
+        cfg = load_config(p, overrides=overrides)
+        assert (cfg.imu_mode, cfg.train.epochs) == ("feature-concat", 3)
 
-    @pytest.mark.parametrize("layers", [{"preset": "no-imu"},
-                                        {"overrides": {"train": {"epochs": 2}}}])
-    def test_non_mapping_section_under_preset_or_flags(self, tmp_path, layers):
+    def test_non_mapping_section_under_flags(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("pipeline: 3\n")
         with pytest.raises(ConfigError, match="must be a mapping"):
-            load_config(p, **layers)
+            load_config(p, overrides={"train": {"epochs": 2}})
 
     def test_exponent_without_a_dot_is_a_float(self, tmp_path):
         # YAML reads 1e-4 as text; a float field reads the text as a number
@@ -70,17 +66,9 @@ class TestConfigLoading:
         cfg = load_config(p)
         assert cfg.train.learning_rate == 1e-4 and cfg.max_match_dist == 0.5
 
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            load_config(preset="bogus")
-
-    def test_every_preset_is_valid(self):
-        for name in ABLATION_PRESETS:
-            load_config(preset=name)
-
     def test_dump_round_trip(self, tmp_path):
-        cfg = load_config(preset="vertex-only",
-                          overrides={"train": {"epochs": 7}})
+        cfg = load_config(overrides={"pipeline": {"head_mode": "vertex-only"},
+                                     "train": {"epochs": 7}})
         out = tmp_path / "resolved.yaml"
         dump_config(cfg, out)
         again = load_config(out)
@@ -100,7 +88,8 @@ class TestCliRoundTrip:
         assert len(list((data / "velodyne").glob("*.bin"))) == 4
         assert (data / "oxts").is_dir()
         assert (data / "poses.txt").exists()
-        assert (data / "resolved_config.yaml").exists()
+        # a synthetic sequence reads no config, so none is written
+        assert not (data / "resolved_config.yaml").exists()
 
     def test_preprocess_register(self, tmp_path):
         data = _synth(tmp_path)
@@ -191,6 +180,20 @@ class TestCliRoundTrip:
                      "--calib", str(calib), "--output", str(out)]) == 0
         assert len(read_poses(out)) == 3
 
+    def test_export_traj_accepts_a_published_kitti_calib(self, tmp_path):
+        # KITTI odometry sequence 00's Tr: orthonormal to within 9.4e-8
+        calib = tmp_path / "calib.txt"
+        calib.write_text("Tr: 4.276802385584e-04 -9.999672484946e-01 -8.084491683471e-03 "
+                         "-1.198459927713e-02 -7.210626507497e-03 8.081198471645e-03 "
+                         "-9.999413164504e-01 -5.403984729748e-02 9.999738645903e-01 "
+                         "4.859485810390e-04 -7.206933692422e-03 -2.921968648686e-01\n")
+        poses, out = tmp_path / "poses.txt", tmp_path / "cam.txt"
+        write_poses(poses, [Pose(t=[0.3 * i, 0.0, 0.0]) for i in range(3)])
+        assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
+                     "--output", str(out)]) == 0
+        # a rigid change of frame keeps each step's length
+        assert [np.linalg.norm(p.t) for p in read_poses(out)] == pytest.approx([0.0, 0.3, 0.6])
+
 
 # A short voxel walk: these tests check the resolved config, not the clouds.
 SHORT_WALK = ["--set", "voxel.max_iterations=5"]
@@ -233,7 +236,7 @@ def lam0_run(tmp_path_factory):
 
 
 class TestInferConfig:
-    """infer with --checkpoint and no --config: checkpoint, then --preset, then --set."""
+    """infer with --checkpoint and no --config: checkpoint, then --set."""
 
     def _infer(self, tmp_path, run, *flags):
         data, ckpt = run
@@ -242,8 +245,8 @@ class TestInferConfig:
                      "--checkpoint", str(ckpt), "--mode", "learned", *SHORT_WALK, *flags])
         return code, est.with_suffix(".config.yaml")
 
-    def test_preset_and_set_apply_over_checkpoint(self, tmp_path, lam0_run):
-        code, resolved = self._infer(tmp_path, lam0_run, "--preset", "pixel-matching",
+    def test_set_lines_apply_over_checkpoint(self, tmp_path, lam0_run):
+        code, resolved = self._infer(tmp_path, lam0_run, "--set", "pipeline.matching=pixel",
                                      "--set", "pipeline.max_match_dist=2.5")
         assert code == 0
         cfg = load_config(resolved)
@@ -291,12 +294,23 @@ class TestExitCodes:
         assert main(["preprocess", "--input", "x", "--output", "y",
                      "--set", "bogus.key=1"]) == 1
 
-    def test_usage_error_on_non_mapping_section_with_preset(self, tmp_path, capsys):
+    def test_usage_error_on_non_mapping_section_with_set(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("pipeline: 3\n")
         assert main(["preprocess", "--input", "x", "--output", "y",
-                     "--config", str(bad), "--preset", "no-imu"]) == 1
+                     "--config", str(bad), "--set", "train.epochs=2"]) == 1
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "seq", "--output-dir", "run", "--preset", "no-imu"],
+        ["synth", "--output-dir", "seq", "--set", "voxel.target=5"],
+        ["synth", "--output-dir", "seq", "--config", "c.yaml"],
+    ])
+    def test_usage_error_on_removed_config_flags(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "seq").exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("setting", [
         "pipeline.imu_mode=bogus",
@@ -363,6 +377,27 @@ class TestExitCodes:
         assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
                      "--output", str(tmp_path / "cam.txt")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tr", ["0 0 0 0 0 0 0 0 0 0 0 0", "2 0 0 0 0 2 0 0 0 0 2 0",
+                                    "1 0 0 0 0 1 0 0 0 0 -1 0"],
+                             ids=["zero", "scaled", "reflection"])
+    def test_data_error_on_non_rigid_calib(self, tmp_path, capsys, tr):
+        poses, out = tmp_path / "poses.txt", tmp_path / "cam.txt"
+        write_poses(poses, [Pose(t=[0.3, 0.0, 0.0])])
+        calib = tmp_path / "calib.txt"
+        calib.write_text(f"P0: 1 0 0 0 0 1 0 0 0 0 1 0\nTr: {tr}\n")
+        assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
+                     "--output", str(out)]) == 2
+        assert f"data error: {calib}: Tr is not rigid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_usage_error_on_cloud_output_without_npz(self, tmp_path, capsys):
+        data = _synth(tmp_path, frames=1)
+        out = tmp_path / "c0"
+        assert main(["preprocess", "--input", str(data / "velodyne" / "000000.bin"),
+                     "--output", str(out)]) == 1
+        assert f"--output {out}: a cloud file must end in .npz" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_data_error_on_empty_pose_files(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -372,8 +372,9 @@ class TestRunSequence:
         pairs, _ = _pairs(cfg)
         model = OdometryModel(cfg)
         model.out_t.bias.value[...] = np.nan
-        absolute, _, flags = run_sequence(pairs, "hybrid", cfg, model=model)
-        assert flags == ["registration-failed"] * len(pairs)
+        absolute, relatives, flags = run_sequence(pairs, "hybrid", cfg, model=model)
+        assert flags == ["non-finite-pose"] * len(pairs)
+        assert all((pose.matrix == np.eye(4)).all() for pose in relatives)
         assert all(np.isfinite(pose.matrix).all() for pose in absolute)
 
     def test_learned_non_finite_pose_is_flagged(self):
