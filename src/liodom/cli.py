@@ -271,8 +271,6 @@ def cmd_eval(args) -> int:
     gt = read_poses(args.ground_truth)
     if len(est) != len(gt):
         raise FormatError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
-    if not gt:
-        raise FormatError(f"{args.ground_truth}: no poses")
     report = kitti_relative_errors(est, gt, stride=args.stride)
     if report.total_segments == 0:
         raise FormatError(f"{args.ground_truth}: the ground-truth path is {path_lengths(gt)[-1]:.2f} m "
@@ -294,7 +292,8 @@ def cmd_export_traj(args) -> int:
     if not (deviation <= 1e-6 and det > 0):
         raise FormatError(f"{args.calib}: Tr is not rigid: its 3x3 block has "
                           f"max |R^T R - I| {deviation:.1e} and determinant {det:.3g}")
-    write_poses(args.output, lidar_to_camera_frame(poses, calib["Tr"]))
+    camera = lidar_to_camera_frame(poses, calib["Tr"])
+    write_poses(args.output, [Pose.from_matrix(T) for T in camera])
     print(f"wrote {len(poses)} camera-frame poses to {args.output}")
     return 0
 
@@ -427,7 +426,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError, NotADirectoryError, FileExistsError,
+            IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (EmptyMatchError, FloatingPointError, np.linalg.LinAlgError) as exc:

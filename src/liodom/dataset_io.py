@@ -1,11 +1,12 @@
 """KITTI-format readers and writers, preprocessed clouds, and IMU windowing.
 
 Formats: velodyne .bin scans (little-endian float32, 4 per point), pose
-text files (12 reals per line, row-major upper 3x4), calib text files
-(key: 12 reals), OXTS inertial text records (>= 23 whitespace fields
-per line), timestamp files (one real per line, never decreasing), and
-preprocessed clouds (.npz). Readers reject malformed input and values
-that are not finite, naming the file and, in text files, the line.
+text files (12 reals per line, row-major upper 3x4, read as an (N, 4, 4)
+matrix stack), calib text files (key: 12 reals), OXTS inertial text
+records (>= 23 whitespace fields per line), timestamp files (one real
+per line, never decreasing), and preprocessed clouds (.npz). Readers
+reject malformed input and values that are not finite, naming the file
+and, in text files, the line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose
 from .preprocess import PreprocessedCloud
 
 
@@ -169,11 +169,25 @@ def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
     return T
 
 
-def read_poses(path) -> list[Pose]:
-    """KITTI pose file: one row-major upper 3x4 matrix per line."""
+def read_poses(path) -> np.ndarray:
+    """KITTI pose file: one row-major upper 3x4 matrix per line, as an
+    (N, 4, 4) float64 stack of the values as written, N >= 1."""
     with open(path) as f:
-        return [Pose.from_matrix(_matrix_from_fields(line.split(), path, lineno))
-                for lineno, line in enumerate(f, start=1) if line.strip()]
+        lines = [(lineno, fields) for lineno, line in enumerate(f, start=1)
+                 if (fields := line.split())]
+    if not lines:
+        raise FormatError(f"{path}: no poses")
+    try:
+        rows = np.array([fields for _, fields in lines], dtype=float)
+    except ValueError:    # a token that does not parse, or lines of unequal length
+        rows = None
+    if rows is None or rows.shape[1] != 12 or not np.isfinite(rows).all():
+        # the slow path: `_reals` names the first line at fault
+        rows = np.array([_reals(fields, path, lineno, 12) for lineno, fields in lines])
+    T = np.zeros((len(rows), 4, 4))
+    T[:, :3, :] = rows.reshape(-1, 3, 4)
+    T[:, 3, 3] = 1.0
+    return T
 
 
 def write_poses(path, poses):
@@ -197,8 +211,8 @@ def read_calib(path) -> dict[str, np.ndarray]:
     return out
 
 
-def lidar_to_camera_frame(poses, Tr: np.ndarray) -> list[Pose]:
-    """Express lidar-frame pose estimates in the calibration (camera) frame."""
+def lidar_to_camera_frame(poses: np.ndarray, Tr: np.ndarray) -> np.ndarray:
+    """Express an (N, 4, 4) stack of lidar-frame poses in the calibration
+    (camera) frame: Tr @ T @ Tr^-1 for each pose T."""
     Tr = np.asarray(Tr, dtype=float)
-    Tr_inv = np.linalg.inv(Tr)
-    return [Pose.from_matrix(Tr @ p.matrix @ Tr_inv) for p in poses]
+    return Tr @ np.asarray(poses, dtype=float) @ np.linalg.inv(Tr)

@@ -2,7 +2,9 @@
 
 Segment-averaged translational error (%) and rotational error (deg/100m)
 over ground-truth path lengths of 100-800 m, plus relative-to-absolute
-trajectory assembly. Path length is computed on the ground truth only.
+trajectory assembly. The metrics read trajectories as (N, 4, 4) matrix
+stacks, as `dataset_io.read_poses` returns them. Path length is computed
+on the ground truth only.
 """
 
 from __future__ import annotations
@@ -48,30 +50,33 @@ def accumulate(relative_poses) -> list[Pose]:
     return absolute
 
 
-def path_lengths(poses) -> np.ndarray:
-    """Path length (m) travelled from the first pose to each pose."""
-    ts = np.array([p.t for p in poses])
-    steps = np.linalg.norm(np.diff(ts, axis=0), axis=1)
+def path_lengths(poses: np.ndarray) -> np.ndarray:
+    """Path length (m) travelled from the first pose of an (N, 4, 4) stack
+    to each pose."""
+    steps = np.linalg.norm(np.diff(poses[:, :3, 3], axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentErrorReport:
-    """Segment-based relative errors over frame-aligned trajectories.
+def kitti_relative_errors(estimated: np.ndarray, ground_truth: np.ndarray,
+                          stride: int = 1) -> SegmentErrorReport:
+    """Segment-based relative errors over frame-aligned (N, 4, 4) trajectories.
 
     For each start frame (every `stride` frames) and target length L, the
     segment ends at the first frame whose accumulated ground-truth path
     length is >= L. The error pose is
-    (gt_s^-1 gt_e)^-1 (est_s^-1 est_e); translational error |t|/L (as %),
-    rotational error angle/L (reported per 100 m). Each length is one
+    (gt_s^-1 gt_e)^-1 (est_s^-1 est_e) = (gt_e^-1 gt_s)(est_s^-1 est_e);
+    translational error |t|/L (as %), rotational error angle/L (reported
+    per 100 m). Each trajectory is inverted once, and each length is one
     batched pass over all its segments.
     """
-    if len(estimated) != len(ground_truth):
+    est = np.asarray(estimated, dtype=float)
+    gt = np.asarray(ground_truth, dtype=float)
+    if len(est) != len(gt):
         raise ValueError("trajectories must be frame-aligned and equal length")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    dist = path_lengths(ground_truth)
-    gt = np.stack([p.matrix for p in ground_truth])
-    est = np.stack([p.matrix for p in estimated])
+    dist = path_lengths(gt)
+    gt_inv, est_inv = np.linalg.inv(gt), np.linalg.inv(est)
     starts = np.arange(0, len(gt), stride)
     report = SegmentErrorReport()
     for L in SEGMENT_LENGTHS:
@@ -80,7 +85,7 @@ def kitti_relative_errors(estimated, ground_truth, stride: int = 1) -> SegmentEr
         if not has_end.any():
             continue
         s, e = starts[has_end], ends[has_end]
-        err = np.linalg.inv(np.linalg.inv(gt[s]) @ gt[e]) @ (np.linalg.inv(est[s]) @ est[e])
+        err = (gt_inv[e] @ gt[s]) @ (est_inv[s] @ est[e])
         t_mean = 100.0 * np.mean(np.linalg.norm(err[:, :3, 3], axis=1) / L)         # percent
         r_mean = np.degrees(np.mean(rotation_angle(err[:, :3, :3]) / L)) * 100.0  # deg per 100 m
         report.per_length[L] = (float(t_mean), float(r_mean), len(s))

@@ -8,9 +8,11 @@ import yaml
 from liodom import cli, pipeline
 from liodom.cli import main
 from liodom.config import ConfigError, config_from_dict, dump_config, load_config
-from liodom.dataset_io import read_poses, write_poses, write_velodyne_bin
+from liodom.dataset_io import read_calib, read_poses, write_poses, write_velodyne_bin
 from liodom.geometry import Pose
 from liodom.nn import GradcheckResult, gradcheck, load_checkpoint, save_checkpoint
+
+from test_evaluation import stack
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -104,9 +106,8 @@ class TestCliRoundTrip:
         pose_file = tmp_path / "pose.txt"
         assert main(["register", "--source", str(c1), "--target", str(c0),
                      "--output", str(pose_file)] + TINY_FLAGS) == 0
-        pose = read_poses(pose_file)[0]
         # frames are 0.3 m apart along x in the corridor sequence
-        assert pose.t[0] == pytest.approx(0.3, abs=0.02)
+        assert read_poses(pose_file)[0, 0, 3] == pytest.approx(0.3, abs=0.02)
 
     def test_register_reports_convergence(self, tmp_path, capsys, monkeypatch):
         data = _synth(tmp_path, frames=2)
@@ -188,11 +189,15 @@ class TestCliRoundTrip:
                          "-9.999413164504e-01 -5.403984729748e-02 9.999738645903e-01 "
                          "4.859485810390e-04 -7.206933692422e-03 -2.921968648686e-01\n")
         poses, out = tmp_path / "poses.txt", tmp_path / "cam.txt"
-        write_poses(poses, [Pose(t=[0.3 * i, 0.0, 0.0]) for i in range(3)])
+        lidar = [Pose(t=[0.3 * i, 0.0, 0.0]) for i in range(3)]
+        write_poses(poses, lidar)
         assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
                      "--output", str(out)]) == 0
+        camera = read_poses(out)
         # a rigid change of frame keeps each step's length
-        assert [np.linalg.norm(p.t) for p in read_poses(out)] == pytest.approx([0.0, 0.3, 0.6])
+        assert np.linalg.norm(camera[:, :3, 3], axis=1) == pytest.approx([0.0, 0.3, 0.6])
+        Tr = read_calib(calib)["Tr"]
+        np.testing.assert_allclose(camera, Tr @ stack(lidar) @ np.linalg.inv(Tr), atol=1e-12)
 
 
 # A short voxel walk: these tests check the resolved config, not the clouds.
@@ -277,7 +282,7 @@ class TestInferConfig:
         code, _ = self._infer(tmp_path, (data, nan_ckpt))
         assert code == 0
         poses = read_poses(tmp_path / "est.txt")
-        assert len(poses) == 2 and all(np.isfinite(p.matrix).all() for p in poses)
+        assert len(poses) == 2 and np.isfinite(poses).all()
         assert ("warning: 1 of 1 pair(s) fell back to the initial pose, or to the identity "
                 "where it is not finite: 1 non-finite-pose") in capsys.readouterr().err
 
@@ -404,6 +409,36 @@ class TestExitCodes:
         empty.write_text("")
         assert main(["eval", "--estimated", str(empty), "--ground-truth", str(empty)]) == 2
         assert "no poses" in capsys.readouterr().err
+
+    def test_data_error_on_empty_pose_file_to_export(self, tmp_path, capsys):
+        empty, calib, out = tmp_path / "empty.txt", tmp_path / "calib.txt", tmp_path / "cam.txt"
+        empty.write_text("")
+        calib.write_text("Tr: 0 -1 0 0 0 0 -1 0 1 0 0 0\n")
+        assert main(["export-traj", "--poses", str(empty), "--calib", str(calib),
+                     "--output", str(out)]) == 2
+        assert f"data error: {empty}: no poses" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_data_error_on_output_dir_that_is_a_file(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        argv = [command, "--output-dir", str(taken)]
+        argv += (["--frames", "1"] if command == "synth"
+                 else ["--data", str(_synth(tmp_path, frames=2))] + TINY_FLAGS)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(taken) in err
+        assert taken.read_text() == "a file\n"
+
+    def test_data_error_on_report_path_that_is_a_directory(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        write_poses(gt, [Pose(t=[float(i), 0.0, 0.0]) for i in range(120)])
+        assert main(["eval", "--estimated", str(gt), "--ground-truth", str(gt),
+                     "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
 
     def test_data_error_on_trajectory_shorter_than_a_segment(self, tmp_path, capsys):
         # the estimate moves at twice the speed: a 100% error that no segment measures

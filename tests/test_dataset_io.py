@@ -9,6 +9,8 @@ from liodom.dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                                write_velodyne_bin)
 from liodom.geometry import Pose
 
+from test_evaluation import stack
+
 
 class TestVelodyne:
     def test_byte_level_round_trip(self, tmp_path):
@@ -136,15 +138,15 @@ class TestTimes:
 
 
 class TestPoses:
+    GOOD = "1 0 0 0 0 1 0 0 0 0 1 0"
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         poses = [Pose(q=rng.uniform(-1, 1, 3), t=rng.uniform(-100, 100, 3))
                  for _ in range(7)]
         path = tmp_path / "poses.txt"
         write_poses(path, poses)
-        loaded = read_poses(path)
-        for a, b in zip(poses, loaded):
-            np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-9)
+        np.testing.assert_allclose(read_poses(path), stack(poses), atol=1e-9)
 
     def test_format_is_twelve_reals_per_line(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -161,6 +163,21 @@ class TestPoses:
         with pytest.raises(FormatError):
             read_poses(path)
 
+    @pytest.mark.parametrize("count", [11, 13])
+    def test_a_wrong_field_count_names_its_line(self, tmp_path, count):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"{self.GOOD}\n\n{' '.join(['0'] * count)}\n{self.GOOD}\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 3 has "
+                                              rf"{count} fields, need 12$"):
+            read_poses(path)
+
+    def test_an_unparsable_token_names_its_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"{self.GOOD}\n1 0 0 0 0 1 0 0 0 0 1 0x\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 2: could not "
+                                              r"convert string to float: '0x'$"):
+            read_poses(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_value(self, tmp_path, value):
         path = tmp_path / "poses.txt"
@@ -168,11 +185,40 @@ class TestPoses:
         with pytest.raises(FormatError, match=r"poses\.txt: line 2"):
             read_poses(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+    def test_rejects_a_file_with_no_pose(self, tmp_path, text):
+        path = tmp_path / "poses.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: no poses$"):
+            read_poses(path)
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_poses(path, [Pose.identity()])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_poses(path)) == 1
+
+    def test_accepts_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(f"{self.GOOD}\r\n\r\n1 0 0 2 0 1 0 0 0 0 1 0\r\n".encode())
+        np.testing.assert_array_equal(read_poses(path)[:, :3, 3], [[0, 0, 0], [2, 0, 0]])
+
+    def test_reads_the_values_as_written(self, tmp_path):
+        # no Euler round trip: the rows are the parsed tokens bit for bit,
+        # even where the 3x3 block is not a rotation
+        rng = np.random.default_rng(4)
+        rows = [" ".join(format(v, ".17g") for v in rng.normal(0.0, 50.0, 12)) for _ in range(6)]
+        rows.append("1 2 3 4 5 6 7 8 9 10 11 12")
+        write_poses(tmp_path / "p.txt", [Pose(q=rng.uniform(-1, 1, 3), t=rng.normal(0, 9, 3))
+                                         for _ in range(3)])
+        rows += (tmp_path / "p.txt").read_text().splitlines()
+        path = tmp_path / "poses.txt"
+        path.write_text("\n".join(rows) + "\n")
+        T = read_poses(path)
+        assert T.shape == (len(rows), 4, 4) and T.dtype == np.float64
+        assert T[:, 3].tobytes() == np.tile([0.0, 0.0, 0.0, 1.0], (len(rows), 1)).tobytes()
+        expected = np.array([np.array(line.split(), float) for line in rows])
+        assert T[:, :3, :].reshape(-1, 12).tobytes() == expected.tobytes()
 
 
 class TestCalib:
@@ -206,7 +252,6 @@ def test_lidar_to_camera_frame_conjugation():
     Tr[:3, :3] = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
     Tr[:3, 3] = [0.1, -0.05, 0.2]
     poses = [Pose(q=[0.1, 0.0, 0.3], t=[2.0, 1.0, 0.0])]
-    out = lidar_to_camera_frame(poses, Tr)
-    np.testing.assert_allclose(out[0].matrix,
-                               Tr @ poses[0].matrix @ np.linalg.inv(Tr),
-                               atol=1e-12)
+    out = lidar_to_camera_frame(stack(poses), Tr)
+    assert out.shape == (1, 4, 4)
+    np.testing.assert_allclose(out[0], Tr @ poses[0].matrix @ np.linalg.inv(Tr), atol=1e-12)

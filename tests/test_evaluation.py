@@ -6,6 +6,11 @@ from liodom.evaluation import SEGMENT_LENGTHS, accumulate, kitti_relative_errors
 from liodom.geometry import Pose, compose
 
 
+def stack(poses):
+    """A list of poses as the (N, 4, 4) matrix stack that the metrics read."""
+    return np.stack([p.matrix for p in poses])
+
+
 def _straight_line(n=1200, step=1.0):
     return [Pose(q=[0.0, 0.0, 0.0], t=[i * step, 0.0, 0.0]) for i in range(n)]
 
@@ -60,7 +65,7 @@ def brute_force_errors(estimated, ground_truth, lengths=SEGMENT_LENGTHS,
 
 
 def test_identical_trajectories_zero_error():
-    gt = _random_trajectory(np.random.default_rng(0))
+    gt = stack(_random_trajectory(np.random.default_rng(0)))
     report = kitti_relative_errors(gt, gt)
     assert report.total_segments > 0
     assert report.t_rel == pytest.approx(0.0, abs=1e-9)
@@ -71,7 +76,7 @@ def test_identical_trajectories_zero_error():
 def test_scaled_straight_line_gives_one_percent():
     gt = _straight_line()
     est = [Pose(q=p.q, t=1.01 * np.asarray(p.t)) for p in gt]
-    report = kitti_relative_errors(est, gt)
+    report = kitti_relative_errors(stack(est), stack(gt))
     assert report.t_rel == pytest.approx(1.00, abs=0.01)
     assert report.r_rel == pytest.approx(0.0, abs=1e-12)
 
@@ -83,7 +88,7 @@ def test_agrees_with_brute_force_oracle():
         est = [compose(p, Pose(q=rng.normal(0, 0.002, 3),
                                t=rng.normal(0, 0.05, 3))) for p in gt]
         stride = int(rng.integers(1, 4))
-        report = kitti_relative_errors(est, gt, stride=stride)
+        report = kitti_relative_errors(stack(est), stack(gt), stride=stride)
         per, t_rel, r_rel = brute_force_errors(est, gt, stride=stride)
         assert abs(report.t_rel - t_rel) < 1e-9
         assert abs(report.r_rel - r_rel) < 1e-9
@@ -95,7 +100,7 @@ def test_agrees_with_brute_force_oracle():
 
 
 def test_short_trajectory_has_no_segments():
-    gt = _straight_line(n=50)
+    gt = stack(_straight_line(n=50))
     report = kitti_relative_errors(gt, gt)
     assert report.total_segments == 0
     assert report.per_length == {}
@@ -103,12 +108,12 @@ def test_short_trajectory_has_no_segments():
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        kitti_relative_errors(_straight_line(5), _straight_line(6))
+        kitti_relative_errors(stack(_straight_line(5)), stack(_straight_line(6)))
 
 
 @pytest.mark.parametrize("stride", [0, -1])
 def test_non_positive_stride_rejected(stride):
-    gt = _straight_line(n=300)
+    gt = stack(_straight_line(n=300))
     with pytest.raises(ValueError, match="stride"):
         kitti_relative_errors(gt, gt, stride=stride)
 
@@ -132,7 +137,7 @@ def test_accumulate_inverts_deltas(absolute):
 
 
 def test_csv_and_table_render():
-    gt = _straight_line()
+    gt = stack(_straight_line())
     report = kitti_relative_errors(gt, gt)
     csv = report.as_csv()
     assert csv.startswith("length_m,")
