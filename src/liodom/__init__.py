@@ -12,7 +12,7 @@ from .range_image import NormalMap, ProjectionConfig, VertexMap, compute_normal_
 from .preprocess import PreprocessedCloud, VoxelParams, adaptive_voxel_downsample, estimate_normals_planefit, preprocess_cloud, ransac_ground_removal
 from .matching import CorrespondenceSet, EmptyMatchError, KdIndex, LossWeights, build_index, loss_at_pose, loss_gradient, loss_terms, match_nearest, residuals, transformed_cloud
 from .registration import register
-from .pipeline import FramePair, OdometryModel, PipelineConfig, TrainParams, build_frame_pairs, estimate_pair, run_sequence, train_epoch
+from .pipeline import Frame, FramePair, OdometryModel, PipelineConfig, TrainParams, build_frame_pairs, estimate_pair, run_sequence, train_epoch
 from .evaluation import SegmentErrorReport, accumulate, kitti_relative_errors
 from .dataset_io import FormatError, read_oxts, read_poses, read_velodyne_bin, window_imu, write_oxts, write_poses, write_velodyne_bin
 

@@ -34,8 +34,8 @@ from .matching import (CorrespondenceSet, EmptyMatchError, LossWeights,
 from .nn import (Adam, AttentionHead, ChannelNorm, Conv2d, FcActivationHead,
                  GradcheckResult, Linear, LSTM, MapEncoder, Module, ResBlock, StepLR,
                  gradcheck, load_checkpoint, save_checkpoint)
-from .pipeline import (OdometryModel, build_frame_pairs, composed_pose_gradients,
-                       run_sequence, train_epoch)
+from .pipeline import (OdometryModel, build_frame_pairs, built_clouds,
+                       composed_pose_gradients, run_sequence, train_epoch)
 from .preprocess import PLANEFIT_K, PreprocessedCloud, preprocess_cloud
 from .registration import register
 from .synth import corridor_sequence
@@ -163,10 +163,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_sequence(data_dir: Path, cfg, network: bool):
-    """Frame pairs of a KITTI-format sequence, checked as it is read; warns
-    about clouds that missed the voxel target. The IMU is read only when
-    `network` (the model reads the pairs) and the IMU mode is not none; then
-    oxts/ and oxts_times.txt must exist."""
+    """Frame pairs of a KITTI-format sequence, checked as it is read. The
+    IMU is read only when `network` (the model reads the pairs) and the IMU
+    mode is not none; then oxts/ and oxts_times.txt must exist. No map or
+    cloud is built here: `train_epoch` and `run_sequence` build what they
+    read, and the caller then warns about the built clouds that missed the
+    voxel target."""
     scans = sorted((data_dir / "velodyne").glob("*.bin"))
     if not scans:
         raise FormatError(f"{data_dir}: no velodyne/*.bin scans")
@@ -187,9 +189,7 @@ def _load_sequence(data_dir: Path, cfg, network: bool):
             imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
         except FormatError as exc:
             raise FormatError(f"{data_dir / 'oxts_times.txt'}: {exc}") from exc
-    pairs = build_frame_pairs([_read_scan(p) for p in scans], cfg, imu_windows=imu_windows)
-    _warn_missed_targets([fp.last_cloud for fp in pairs[:1]] + [fp.cur_cloud for fp in pairs])
-    return pairs
+    return build_frame_pairs([_read_scan(p) for p in scans], cfg, imu_windows=imu_windows)
 
 
 def cmd_train(args) -> int:
@@ -223,6 +223,7 @@ def cmd_train(args) -> int:
             failure = (f"epoch {epoch} trained no pair: {stats.pairs_skipped} of {len(pairs)} "
                        f"skipped (no matches, or a non-finite pose, loss or gradient)")
             break
+    _warn_missed_targets(built_clouds(pairs))
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
     if not all(np.isfinite(p.value).all() for p in model.parameters().values()):
         failure = "a parameter became non-finite; no checkpoint saved"
@@ -255,6 +256,7 @@ def cmd_infer(args) -> int:
                               f"{exc}") from exc
     pairs = _load_sequence(Path(args.data), cfg, network=args.mode != "classical")
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
+    _warn_missed_targets(built_clouds(pairs))
     failed = Counter(flag for flag in flags if flag != "ok")
     if failed:
         print(f"warning: {failed.total()} of {len(flags)} pair(s) fell back to the initial pose, "

@@ -106,17 +106,84 @@ class PipelineConfig:
                              f"{self.projection.W}")
 
 
+class Frame:
+    """One scan and its two products: the vertex and normal maps that the
+    network reads, and the loss-side cloud that the loss and registration
+    read.
+
+    Each product is built on its first read, once, and kept. The cloud is
+    the precomputed one when given, else a voxel downsample of the scan's
+    analytic `normals`, else the full preprocess of the raw points. Once a
+    frame holds both products it drops `points` and `normals` (both become
+    None), which nothing reads any more. A frame holds no lock: each
+    consumer builds what it reads with `_build` before any reader runs, so
+    no two threads build the same product.
+    """
+
+    def __init__(self, points: np.ndarray, cfg: PipelineConfig,
+                 normals: np.ndarray | None = None, cloud: PreprocessedCloud | None = None):
+        self.points = points
+        self.normals = normals
+        self.cfg = cfg
+        self._maps = None
+        self._cloud = cloud
+
+    @property
+    def maps(self) -> tuple[VertexMap, NormalMap]:
+        if self._maps is None:
+            vm = project(self.points, self.cfg.projection)
+            self._maps = vm, compute_normal_map(vm)
+            self._drop_scan()
+        return self._maps
+
+    @property
+    def cloud(self) -> PreprocessedCloud:
+        if self._cloud is None:
+            self._cloud = (preprocess_cloud(self.points, self.cfg.voxel) if self.normals is None
+                           else adaptive_voxel_downsample(self.points, self.normals, self.cfg.voxel))
+            self._drop_scan()
+        return self._cloud
+
+    def _drop_scan(self):
+        if self._maps is not None and self._cloud is not None:
+            self.points = self.normals = None
+
+
 @dataclass(frozen=True)
 class FramePair:
-    """Everything one training/inference step needs for a scan pair."""
+    """Everything one training/inference step needs for a scan pair. The
+    map and cloud fields read through to the two frames."""
 
-    v_last: VertexMap
-    n_last: NormalMap
-    v_cur: VertexMap
-    n_cur: NormalMap
-    last_cloud: PreprocessedCloud
-    cur_cloud: PreprocessedCloud
+    last: Frame
+    cur: Frame
     imu: np.ndarray | None = None      # (S, 6): lin acc 0-2, ang vel 3-5
+
+    v_last = property(lambda self: self.last.maps[0])
+    n_last = property(lambda self: self.last.maps[1])
+    v_cur = property(lambda self: self.cur.maps[0])
+    n_cur = property(lambda self: self.cur.maps[1])
+    last_cloud = property(lambda self: self.last.cloud)
+    cur_cloud = property(lambda self: self.cur.cloud)
+
+
+def _frames(pairs) -> list[Frame]:
+    """The distinct frames of `pairs`, in order of first appearance."""
+    return list(dict.fromkeys(f for fp in pairs for f in (fp.last, fp.cur)))
+
+
+def _build(pairs, maps: bool, cloud: bool):
+    """Build the products a consumer reads, for every frame of `pairs` that
+    lacks one, one frame per worker thread (`_pool_map`)."""
+    todo = [f for f in _frames(pairs)
+            if (maps and f._maps is None) or (cloud and f._cloud is None)]
+    if todo:     # reading a product builds it
+        _pool_map(lambda f: (maps and f.maps, cloud and f.cloud), todo)
+
+
+def built_clouds(pairs) -> list[PreprocessedCloud]:
+    """The loss-side clouds that the frames of `pairs` hold so far, in frame
+    order; a frame whose cloud was never read adds none."""
+    return [f._cloud for f in _frames(pairs) if f._cloud is not None]
 
 
 def _make_head(head_type: str, dim: int, rng):
@@ -350,9 +417,13 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
                 scheduler: StepLR | None = None) -> EpochStats:
     """One pass over the dataset in batches; Adam step per batch.
 
-    Pairs without matches or with a non-finite pose, loss or gradient are
-    skipped and counted in `pairs_skipped`.
+    First builds what training reads of each frame not yet built (the
+    first epoch over `pairs`), one frame per worker thread: its maps, and
+    with nearest matching its loss-side cloud too. Pairs without matches
+    or with a non-finite pose, loss or gradient are skipped and counted in
+    `pairs_skipped`.
     """
+    _build(pairs, maps=True, cloud=cfg.matching == "nearest")
     if scheduler is not None:
         scheduler.set_epoch(epoch)
     model.set_training(True)
@@ -398,32 +469,24 @@ def _pool_map(fn, *iterables) -> list:
 
 def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
                       clouds=None) -> list[FramePair]:
-    """Assemble FramePairs from sensor-frame scans.
+    """FramePairs over consecutive sensor-frame scans, sharing one `Frame`
+    per scan.
 
     `scans` is a list of (N, 3) arrays (or objects with .points/.normals
-    such as synthetic scenes). One call per scan, one scan per worker thread
-    (`_pool_map`), projects it, computes its normal map and takes its
-    loss-side cloud: `clouds[k]` when clouds are passed precomputed, else a
-    voxel downsample of the scan's analytic normals, else the full
-    preprocess pipeline on the raw array.
+    such as synthetic scenes); `clouds`, when given, holds each scan's
+    precomputed loss-side cloud. Only the counts are checked here: the
+    frames build their maps and clouds when a consumer reads them.
     """
-    def frame(scan, cloud):
-        points = scan.points if hasattr(scan, "points") else np.asarray(scan, dtype=float)
-        vm = project(points, cfg.projection)
-        if cloud is None:
-            cloud = (adaptive_voxel_downsample(points, scan.normals, cfg.voxel)
-                     if hasattr(scan, "normals") else preprocess_cloud(points, cfg.voxel))
-        return vm, compute_normal_map(vm), cloud
-
     if clouds is not None and len(clouds) != len(scans):
         raise ValueError(f"{len(clouds)} clouds for {len(scans)} scans")
     if imu_windows is not None and len(imu_windows) != max(len(scans) - 1, 0):
         raise ValueError(f"{len(imu_windows)} IMU windows for {len(scans)} scans; "
                          f"need one per consecutive scan pair")
-    frames = _pool_map(frame, scans, [None] * len(scans) if clouds is None else clouds)
-    return [FramePair(v_last=v0, n_last=n0, v_cur=v1, n_cur=n1, last_cloud=c0, cur_cloud=c1,
-                      imu=None if imu_windows is None else imu_windows[k])
-            for k, ((v0, n0, c0), (v1, n1, c1)) in enumerate(zip(frames, frames[1:]))]
+    frames = [Frame(np.asarray(getattr(scan, "points", scan), dtype=float), cfg,
+                    normals=getattr(scan, "normals", None), cloud=cloud)
+              for scan, cloud in zip(scans, [None] * len(scans) if clouds is None else clouds)]
+    return [FramePair(last, cur, imu=None if imu_windows is None else imu_windows[k])
+            for k, (last, cur) in enumerate(zip(frames, frames[1:]))]
 
 
 def run_sequence(pairs, mode: str, cfg: PipelineConfig,
@@ -435,14 +498,20 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     flagged "ok", "non-finite-pose" (an initial pose that is not finite,
     checked before registering; the pair keeps the identity) or
     "registration-failed" (register raised EmptyMatchError or
-    FloatingPointError; the pair keeps its initial pose). The model's
-    estimates run one pair after another, as its layers cache activations;
-    the registrations then run one pair per worker thread (`_pool_map`).
+    FloatingPointError; the pair keeps its initial pose).
+
+    First each frame builds what the mode reads, one frame per worker
+    thread (`_pool_map`): its loss-side cloud in classical mode, its maps
+    in learned mode, both in hybrid mode. A scan that cannot be projected
+    or preprocessed raises here. The model's estimates then run one pair
+    after another, as its layers cache activations; the registrations run
+    one pair per worker thread.
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("learned", "hybrid") and model is None:
         raise ValueError(f"mode {mode!r} needs a model")
+    _build(pairs, maps=mode != "classical", cloud=mode != "learned")
     if mode == "classical":
         inits = [Pose.identity()] * len(pairs)
     else:

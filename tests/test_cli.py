@@ -211,6 +211,18 @@ def test_train_warns_on_missed_voxel_targets(tmp_path, capsys):
     assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
 
 
+def test_pixel_matching_train_builds_no_cloud(tmp_path, capsys, monkeypatch):
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("pixel-matching training built a loss-side cloud")
+
+    monkeypatch.setattr(pipeline, "preprocess_cloud", no_cloud)
+    data = _synth(tmp_path, frames=2)
+    assert main(["train", "--data", str(data), "--output-dir", str(tmp_path / "run"),
+                 "--set", "train.epochs=1", "--set", "pipeline.matching=pixel"]
+                + TINY_FLAGS + SHORT_WALK) == 0
+    assert "voxel target" not in capsys.readouterr().err
+
+
 def test_register_warns_on_missed_voxel_targets(tmp_path, capsys):
     data = _synth(tmp_path, frames=2)
     scan0, scan1 = (str(data / "velodyne" / f"{i:06d}.bin") for i in range(2))
@@ -243,11 +255,11 @@ def lam0_run(tmp_path_factory):
 class TestInferConfig:
     """infer with --checkpoint and no --config: checkpoint, then --set."""
 
-    def _infer(self, tmp_path, run, *flags):
+    def _infer(self, tmp_path, run, *flags, mode="learned"):
         data, ckpt = run
         est = tmp_path / "est.txt"
         code = main(["infer", "--data", str(data), "--output", str(est),
-                     "--checkpoint", str(ckpt), "--mode", "learned", *SHORT_WALK, *flags])
+                     "--checkpoint", str(ckpt), "--mode", mode, *SHORT_WALK, *flags])
         return code, est.with_suffix(".config.yaml")
 
     def test_set_lines_apply_over_checkpoint(self, tmp_path, lam0_run):
@@ -264,14 +276,31 @@ class TestInferConfig:
         assert cfg.weights.lam == 0.0 and cfg.feature_dim == 16
 
     def test_missed_voxel_targets_warned(self, tmp_path, lam0_run, capsys):
-        code, _ = self._infer(tmp_path, lam0_run)
+        code, _ = self._infer(tmp_path, lam0_run, mode="hybrid")
         assert code == 0
         assert "warning: 2 of 2 clouds missed the voxel target" in capsys.readouterr().err
 
     def test_no_warning_when_targets_met(self, tmp_path, lam0_run, capsys):
-        code, _ = self._infer(tmp_path, lam0_run, "--set", "voxel.tolerance=100000")
+        code, _ = self._infer(tmp_path, lam0_run, "--set", "voxel.tolerance=100000",
+                              mode="hybrid")
         assert code == 0
         assert "voxel target" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["classical", "learned"])
+    def test_voxel_warning_counts_the_clouds_a_mode_built(self, tmp_path, lam0_run, capsys,
+                                                          monkeypatch, mode):
+        if mode == "learned":
+            def no_cloud(*args, **kwargs):
+                raise AssertionError("learned inference built a loss-side cloud")
+
+            monkeypatch.setattr(pipeline, "preprocess_cloud", no_cloud)
+        code, _ = self._infer(tmp_path, lam0_run, mode=mode)
+        assert code == 0
+        err = capsys.readouterr().err
+        if mode == "learned":
+            assert "voxel target" not in err
+        else:
+            assert "warning: 2 of 2 clouds missed the voxel target" in err
 
     def test_non_finite_learned_pose_is_flagged(self, tmp_path, lam0_run, capsys):
         data, ckpt = lam0_run

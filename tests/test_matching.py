@@ -7,9 +7,9 @@ from liodom.matching import (CorrespondenceSet, EmptyMatchError, KdIndex,
                              loss_gradient, loss_terms, match_nearest,
                              residual_values, residuals)
 from liodom.nn import central_difference
-from liodom.pipeline import FramePair, pixel_correspondences
+from liodom.pipeline import Frame, FramePair, PipelineConfig, pixel_correspondences
 from liodom.preprocess import PreprocessedCloud
-from liodom.range_image import ProjectionConfig, compute_normal_map, project
+from liodom.range_image import ProjectionConfig
 from liodom.synth import SceneSpec, Box, sample_scene, scan_from_pose
 
 
@@ -112,11 +112,9 @@ class TestMatchNearest:
 
 
 def _map_pair(last, cur, cfg):
-    """FramePair over the maps of two point arrays; pixel matching needs no clouds."""
-    vl, vc = project(last, cfg), project(cur, cfg)
-    return FramePair(v_last=vl, n_last=compute_normal_map(vl),
-                     v_cur=vc, n_cur=compute_normal_map(vc),
-                     last_cloud=None, cur_cloud=None)
+    """FramePair over two point arrays; pixel matching reads their maps, no clouds."""
+    cfg = PipelineConfig(projection=cfg)
+    return FramePair(Frame(last, cfg), Frame(cur, cfg))
 
 
 class TestMatchPixel:

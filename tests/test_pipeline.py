@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from liodom.geometry import Pose, compose
 from liodom.matching import CorrespondenceSet, EmptyMatchError, transformed_cloud
 from liodom.nn import (Adam, StepLR, central_difference, gradcheck, load_checkpoint,
                        save_checkpoint)
-from liodom.pipeline import (HEAD_MODES, IMU_MODES, FramePair, OdometryModel,
+from liodom.pipeline import (HEAD_MODES, IMU_MODES, Frame, FramePair, OdometryModel,
                              PairDiagnostics, PipelineConfig, TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
                              pair_loss, run_sequence, train_epoch, train_step)
@@ -125,7 +126,8 @@ def _pipeline_values():
     cloud = PreprocessedCloud(np.zeros((1, 3)), np.zeros((1, 3)))
     vmap = VertexMap(np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool))
     nmap = NormalMap(vmap.grid, vmap.valid)
-    return [FramePair(vmap, nmap, vmap, nmap, cloud, cloud), cloud,
+    frame = Frame(cloud.points, TINY, cloud=cloud)
+    return [FramePair(frame, frame), cloud,
             CorrespondenceSet(np.arange(1), cloud.points, cloud.normals),
             vmap, nmap, PairDiagnostics()]
 
@@ -358,7 +360,8 @@ class TestRunSequence:
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg)
         moved = transformed_cloud(pairs[0].cur_cloud, Pose(t=np.array([100.0, 0.0, 0.0])))
-        far = dataclasses.replace(pairs[0], cur_cloud=moved)    # nothing in match range
+        # the same scan, with nothing of its cloud in match range
+        far = dataclasses.replace(pairs[0], cur=Frame(pairs[0].cur.points, cfg, cloud=moved))
         model = OdometryModel(cfg)
         model.out_t.bias.value[...] = [0.1, -0.05, 0.02]
         learned, _ = estimate_pair(far, model, cfg)
@@ -435,13 +438,114 @@ class TestPooledStages:
             assert (cloud.side_length, cloud.passes, cloud.met_target) == (
                 want.side_length, want.passes, want.met_target)
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each product build as (function name, id of its input array), with
+        threads switched often, so that two threads building one frame
+        would show as a second build."""
+        seen = []
+        for name in ("project", "compute_normal_map", "preprocess_cloud",
+                     "adaptive_voxel_downsample"):
+            def counted(first, *args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                seen.append((_name, id(first)))     # list.append is atomic across threads
+                return _fn(first, *args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield seen
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _built(builds, *names):
+        return sorted(key for key in builds if key[0] in names)
+
+    @pytest.mark.parametrize("mode", ["classical", "learned", "hybrid"])
+    def test_each_mode_builds_what_it_reads_once(self, builds, mode):
+        cfg = _tiny_cfg(imu_mode="none")
+        pairs, _ = _pairs(cfg, n_frames=4)      # scans with analytic normals
+        points = [fp.last.points for fp in pairs[:1]] + [fp.cur.points for fp in pairs]
+        assert builds == []                     # build_frame_pairs builds nothing
+        run_sequence(pairs, mode, cfg, model=OdometryModel(cfg))
+        # every frame but the first and last is read by two pairs
+        once = lambda name: sorted((name, id(p)) for p in points)
+        maps = once("project") if mode != "classical" else []
+        assert self._built(builds, "project") == maps
+        assert len(self._built(builds, "compute_normal_map")) == len(maps)
+        clouds = once("adaptive_voxel_downsample") if mode != "learned" else []
+        assert self._built(builds, "adaptive_voxel_downsample", "preprocess_cloud") == clouds
+        # a frame drops its scan once it holds both products
+        assert [f.points is None for f in pipeline._frames(pairs)] == [mode == "hybrid"] * 4
+        # a second run reads what the first built
+        builds.clear()
+        run_sequence(pairs, "hybrid", cfg, model=OdometryModel(cfg))
+        assert len(builds) == {"classical": 8, "learned": 4, "hybrid": 0}[mode]
+        assert all(f.points is None and f.normals is None for f in pipeline._frames(pairs))
+
+    @pytest.mark.parametrize("matching", ["nearest", "pixel"])
+    def test_training_builds_once_for_every_epoch(self, builds, matching):
+        cfg = _tiny_cfg(imu_mode="none", matching=matching)
+        raw = [scan_from_pose(_scene(), Pose(q=[0.0, 0.0, 0.05 * k], t=[0.15 * k, 0.0, 0.0])).points
+               for k in range(3)]
+        pairs = build_frame_pairs(raw, cfg)
+        model = OdometryModel(cfg)
+        opt = Adam(model.parameters(), lr=1e-3)
+        train_epoch(pairs, model, opt, cfg)
+        once = lambda name: sorted((name, id(points)) for points in raw)
+        assert self._built(builds, "project") == once("project")
+        assert len(self._built(builds, "compute_normal_map")) == 3
+        clouds = once("preprocess_cloud") if matching == "nearest" else []
+        assert self._built(builds, "preprocess_cloud", "adaptive_voxel_downsample") == clouds
+        builds.clear()
+        train_epoch(pairs, model, opt, cfg, epoch=1)
+        assert builds == []
+
+    def test_lazy_products_give_the_eager_poses_and_losses(self):
+        # Products built eagerly by hand, as build_frame_pairs built them
+        # before frames were lazy, against products built where they are read.
+        cfg = _tiny_cfg(imu_mode="none")
+        scenes = [scan_from_pose(_scene(), Pose(q=[0.0, 0.0, 0.05 * k], t=[0.15 * k, 0.0, 0.0]))
+                  for k in range(4)]
+
+        def eager():
+            frames = []
+            for s in scenes:
+                frame = Frame(s.points, cfg, cloud=adaptive_voxel_downsample(
+                    s.points, s.normals, cfg.voxel))
+                vm = project(s.points, cfg.projection)
+                frame._maps = vm, compute_normal_map(vm)
+                frames.append(frame)
+            return [FramePair(a, b) for a, b in zip(frames, frames[1:])]
+
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = [0.02, -0.01, 0.0]
+        for mode in ("classical", "learned", "hybrid"):
+            want = run_sequence(eager(), mode, cfg, model=model)
+            got = run_sequence(build_frame_pairs(scenes, cfg), mode, cfg, model=model)
+            assert got[2] == want[2]
+            for a, b in zip(got[1], want[1], strict=True):
+                np.testing.assert_array_equal(a.matrix, b.matrix)
+        stats = []
+        for pairs in (eager(), build_frame_pairs(scenes, cfg)):
+            trained = OdometryModel(cfg)
+            stats.append(train_epoch(pairs, trained, Adam(trained.parameters(), lr=1e-3), cfg))
+        assert stats[0] == stats[1]
+
     def test_a_failing_scan_raises_to_the_caller(self):
-        cfg = _tiny_cfg()
+        # build_frame_pairs builds nothing; the step that reads a product raises
+        cfg = _tiny_cfg(imu_mode="none")
+        model = OdometryModel(cfg)
         good = scan_from_pose(_scene(), Pose.identity()).points
+        small = build_frame_pairs([good, good[:5], good], cfg)    # too few points to plane-fit
         with pytest.raises(ValueError, match="need more than k=10"):
-            build_frame_pairs([good, good[:5], good], cfg)    # too few points to plane-fit
+            run_sequence(small, "classical", cfg)
         with pytest.raises(ValueError, match="cannot project an empty cloud"):
-            build_frame_pairs([good, good[:0], good], cfg)
+            run_sequence(build_frame_pairs([good, good[:0], good], cfg), "learned", cfg,
+                         model=model)
+        # learned mode reads maps only, so it never plane-fits the small scan
+        _, _, flags = run_sequence(small, "learned", cfg, model=model)
+        assert flags == ["ok", "ok"]
 
     def test_clouds_must_match_scans_one_to_one(self):
         scans = [scan_from_pose(_scene(), Pose(t=[0.15 * k, 0.0, 0.0])) for k in range(3)]
@@ -450,7 +554,7 @@ class TestPooledStages:
 
     @pytest.mark.parametrize("n_windows", [1, 6])
     def test_imu_windows_must_match_scan_pairs(self, n_windows):
-        # empty scans fail the first per-scan step, so the count is checked before it
+        # empty scans would fail when a consumer builds them; this call builds nothing
         scans = [np.zeros((0, 3))] * 4
         windows = [np.zeros((15, 6))] * n_windows
         with pytest.raises(ValueError, match=f"{n_windows} IMU windows for 4 scans"):
@@ -461,7 +565,8 @@ class TestPooledStages:
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg, n_frames=4)
         moved = transformed_cloud(pairs[1].cur_cloud, Pose(t=np.array([100.0, 0.0, 0.0])))
-        pairs[1] = dataclasses.replace(pairs[1], cur_cloud=moved)    # nothing in match range
+        # the same scan, with nothing of its cloud in match range
+        pairs[1] = dataclasses.replace(pairs[1], cur=Frame(pairs[1].cur.points, cfg, cloud=moved))
         model = OdometryModel(cfg)
         model.out_t.bias.value[...] = [0.02, -0.01, 0.0]
         want, want_flags = [], []
@@ -606,8 +711,7 @@ def test_pixel_matching_skips_pair_without_valid_normals():
     # A lone point has no valid neighbour, so its normal map is empty.
     cfg = _tiny_cfg(imu_mode="none", matching="pixel")
     pairs, _ = _pairs(cfg)
-    lone = project(np.array([[5.0, 0.0, 0.0]]), cfg.projection)
-    bad = dataclasses.replace(pairs[0], v_cur=lone, n_cur=compute_normal_map(lone))
+    bad = dataclasses.replace(pairs[0], cur=Frame(np.array([[5.0, 0.0, 0.0]]), cfg))
     model = OdometryModel(cfg)
     opt = Adam(model.parameters(), lr=1e-4)
     stats = train_epoch([bad, pairs[1]], model, opt, cfg)
@@ -619,7 +723,7 @@ def test_nearest_matching_skips_pair_with_empty_target():
     cfg = _tiny_cfg(imu_mode="none")
     pairs, _ = _pairs(cfg)
     empty = PreprocessedCloud(np.empty((0, 3)), np.empty((0, 3)))
-    bad = dataclasses.replace(pairs[0], last_cloud=empty)
+    bad = dataclasses.replace(pairs[0], last=Frame(pairs[0].last.points, cfg, cloud=empty))
     model = OdometryModel(cfg)
     opt = Adam(model.parameters(), lr=1e-4)
     stats = train_epoch([bad, pairs[1]], model, opt, cfg)
