@@ -87,14 +87,15 @@ def _add_config_flags(p):
                    help="override a single config value (repeatable; later ones win)")
 
 
-def _read_scan(path: Path) -> np.ndarray:
+def _read_scan(path: Path, cloud: bool = True) -> np.ndarray:
     """A velodyne scan's (N, 3) points, checked to hold more than PLANEFIT_K
-    finite points, as preprocessing needs."""
+    finite points when a cloud is built from it, as plane-fit needs, and at
+    least one when only its maps are, as projection needs."""
     points = read_velodyne_bin(path)[:, :3]
     finite = np.isfinite(points).all(axis=1).sum()
-    if finite <= PLANEFIT_K:
-        raise FormatError(f"{path}: {finite} finite points; preprocessing needs "
-                          f"more than {PLANEFIT_K}")
+    stage, need = ("preprocessing", PLANEFIT_K + 1) if cloud else ("projection", 1)
+    if finite < need:
+        raise FormatError(f"{path}: {finite} finite points; {stage} needs at least {need}")
     return points
 
 
@@ -162,13 +163,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_sequence(data_dir: Path, cfg, network: bool):
+def _load_sequence(data_dir: Path, cfg, network: bool, clouds: bool):
     """Frame pairs of a KITTI-format sequence, checked as it is read. The
     IMU is read only when `network` (the model reads the pairs) and the IMU
-    mode is not none; then oxts/ and oxts_times.txt must exist. No map or
-    cloud is built here: `train_epoch` and `run_sequence` build what they
-    read, and the caller then warns about the built clouds that missed the
-    voxel target."""
+    mode is not none; then oxts/ and oxts_times.txt must exist. Each scan
+    must hold enough finite points for a cloud when `clouds` (the run builds
+    loss-side clouds), else for its maps. No map or cloud is built here:
+    `train_epoch` and `run_sequence` build what they read, and the caller
+    then warns about the built clouds that missed the voxel target."""
     scans = sorted((data_dir / "velodyne").glob("*.bin"))
     if not scans:
         raise FormatError(f"{data_dir}: no velodyne/*.bin scans")
@@ -189,14 +191,16 @@ def _load_sequence(data_dir: Path, cfg, network: bool):
             imu_windows = window_imu(records, record_times, scan_times, S=cfg.imu_window)
         except FormatError as exc:
             raise FormatError(f"{data_dir / 'oxts_times.txt'}: {exc}") from exc
-    return build_frame_pairs([_read_scan(p) for p in scans], cfg, imu_windows=imu_windows)
+    return build_frame_pairs([_read_scan(p, clouds) for p in scans], cfg,
+                             imu_windows=imu_windows)
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = _load_sequence(Path(args.data), cfg, network=True)
+    pairs = _load_sequence(Path(args.data), cfg, network=True,
+                           clouds=cfg.matching == "nearest")
     if not pairs:
         raise FormatError(f"{args.data}: one scan, so no frame pair to train on")
     model = OdometryModel(cfg)
@@ -254,7 +258,8 @@ def cmd_infer(args) -> int:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{args.checkpoint} does not fit the resolved config: "
                               f"{exc}") from exc
-    pairs = _load_sequence(Path(args.data), cfg, network=args.mode != "classical")
+    pairs = _load_sequence(Path(args.data), cfg, network=args.mode != "classical",
+                           clouds=args.mode != "learned")
     absolute, _, flags = run_sequence(pairs, args.mode, cfg, model=model)
     _warn_missed_targets(built_clouds(pairs))
     failed = Counter(flag for flag in flags if flag != "ok")

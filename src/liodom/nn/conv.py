@@ -43,7 +43,11 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int):
 
 
 class Conv2d(Module):
-    """2D cross-correlation: im2col, then one BLAS GEMM per contraction."""
+    """2D cross-correlation: im2col, then one BLAS GEMM per contraction.
+
+    Forward keeps its input, not its columns, which are k*k times larger;
+    backward rebuilds the same columns from it.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, stride: int = 1,
                  pad: int | None = None, *, rng: np.random.Generator):
@@ -59,18 +63,20 @@ class Conv2d(Module):
         cols, (Ho, Wo) = _im2col(x, self.kernel, self.stride, self.pad)
         w = self.weight.value.reshape(self.weight.value.shape[0], -1)
         y = w @ cols + self.bias.value[:, None]
-        self._cache = (x.shape, cols)
+        self._cache = x
         return y.reshape(x.shape[0], -1, Ho, Wo)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols = self._cache
+        x = self._take_cache()
+        cols, _ = _im2col(x, self.kernel, self.stride, self.pad)
         B = grad_out.shape[0]
         go = grad_out.reshape(B, grad_out.shape[1], -1)
         w = self.weight.value.reshape(self.weight.value.shape[0], -1)
         self.weight.grad += (go @ cols.transpose(0, 2, 1)).sum(0).reshape(self.weight.value.shape)
+        del cols    # freed before the input gradient's columns, which are as large
         self.bias.grad += go.sum(axis=(0, 2))
         gcols = w.T @ go
-        return _col2im(gcols, x_shape, self.kernel, self.stride, self.pad)
+        return _col2im(gcols, x.shape, self.kernel, self.stride, self.pad)
 
 
 class ChannelNorm(Module):
@@ -105,7 +111,7 @@ class ChannelNorm(Module):
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, scale = self._cache
+        xhat, scale = self._take_cache()
         self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))
         return grad_out * (self.gamma.value * scale)[:, None, None]
@@ -137,7 +143,7 @@ class ResBlock(Module):
         return pre * relu2
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        relu1, relu2 = self._cache
+        relu1, relu2 = self._take_cache()
         g = grad_out * relu2
         gb = self.conv2.backward(self.norm2.backward(g)) * relu1
         gx = self.conv1.backward(self.norm1.backward(gb))
@@ -191,7 +197,7 @@ class MapEncoder(Module):
         return self.head(pooled)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        relu, h_shape = self._cache
+        relu, h_shape = self._take_cache()
         g = self.head.backward(grad_out)
         g = np.broadcast_to(g[:, :, None, None] / (h_shape[2] * h_shape[3]), h_shape).copy()
         for b in reversed(self.blocks):

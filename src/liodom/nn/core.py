@@ -1,7 +1,8 @@
 """Minimal differentiable-computation substrate.
 
 Modules own named parameters and buffers, cache what forward needs for
-backward, and accumulate parameter gradients on backward. Everything is
+backward, hand that cache over to the one backward that reads it, and
+accumulate parameter gradients on backward. Everything is
 plain numpy. A module is built in float64, and each layer computes in its
 own parameters' dtype, so `Module.cast` sets a whole network's precision
 (`OdometryModel` runs in float32). `central_difference` is the one finite
@@ -34,7 +35,10 @@ class Module:
 
     buffer_names: tuple = ()    # attributes holding non-trainable state arrays
     training = False
-    _cache = None               # what forward keeps for backward
+    # What forward keeps for backward, until backward takes it. It may hold
+    # forward's input by reference, so a caller must not write to that input
+    # between the forward and the backward.
+    _cache = None
 
     def named_modules(self, prefix: str = ""):
         """(dotted prefix, module) for this module and each submodule."""
@@ -87,6 +91,15 @@ class Module:
     def zero_grad(self):
         for p in self.parameters().values():
             p.grad[...] = 0.0
+
+    def _take_cache(self):
+        """What the last forward kept, handed over once: backward frees it as
+        it reads it. A backward without a forward raises RuntimeError."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward without a forward: "
+                               f"each forward's cache feeds one backward")
+        return cache
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError

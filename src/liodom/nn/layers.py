@@ -27,7 +27,7 @@ class Linear(Module):
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.weight.grad += grad_out.T @ self._cache
+        self.weight.grad += grad_out.T @ self._take_cache()
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value
 
@@ -53,7 +53,7 @@ class AttentionHead(Module):
         return o * th
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        i, g, o, th = self._cache
+        i, g, o, th = self._take_cache()
         d_o = grad_out * th
         d_ig = grad_out * o * (1.0 - th * th)
         d_i = d_ig * g
@@ -78,7 +78,7 @@ class FcActivationHead(Module):
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        h, y = self._cache
+        h, y = self._take_cache()
         gh = self.fc2.backward(grad_out * (1.0 - y * y))
         return self.fc1.backward(gh * (1.0 - h * h))
 
@@ -118,7 +118,7 @@ class LSTM(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backprop through time from the final hidden state's gradient;
         returns the gradient w.r.t. the input windows."""
-        steps = self._cache
+        steps = self._take_cache()
         dtype = self.w_ih.value.dtype
         dh = np.asarray(grad_out, dtype)
         dc = np.zeros_like(dh)

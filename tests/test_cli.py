@@ -565,6 +565,37 @@ class TestExitCodes:
         assert main(["preprocess", "--input", str(scan), "--output", str(tmp_path / "c.npz")]) == 2
         assert f"data error: {scan}: {points} finite points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("run", ["learned", "hybrid", "nearest", "pixel"])
+    def test_scan_size_checked_against_what_the_run_builds(self, tmp_path, capsys, lam0_run,
+                                                           run):
+        # learned inference and pixel-matching training build only maps, which
+        # take any finite point; hybrid inference and nearest-matching
+        # training also plane-fit a cloud. An empty scan fails every run.
+        # Pixel matching finds no match in the two pairs of the 5-point scan,
+        # so a fourth scan gives it a pair to train on.
+        _, ckpt = lam0_run
+        data = _synth(tmp_path, frames=4)
+        scan = data / "velodyne" / "000001.bin"
+        out = tmp_path / "out"
+        if run in ("learned", "hybrid"):
+            argv = ["infer", "--data", str(data), "--output", str(out),
+                    "--checkpoint", str(ckpt), "--mode", run]
+        else:
+            argv = ["train", "--data", str(data), "--output-dir", str(out),
+                    "--set", "train.epochs=1", "--set", f"pipeline.matching={run}",
+                    *TINY_FLAGS, *SHORT_WALK]
+        for points in (5, 0):
+            write_velodyne_bin(scan, np.random.default_rng(0).uniform(-5, 5, (points, 4)))
+            if points and run in ("learned", "pixel"):
+                assert main(argv) == 0
+                if run == "learned":
+                    assert len(read_poses(out)) == 4
+                else:
+                    assert (out / "model.ckpt").exists()
+            else:
+                assert main(argv) == 2
+                assert f"data error: {scan}: {points} finite points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", ["not-a-checkpoint", "truncated-arrays", "truncated-header"])
     def test_data_error_on_malformed_checkpoint(self, tmp_path, capsys, lam0_run, cut):
         data, ckpt = lam0_run

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,85 @@ def test_conv2d_matches_direct_convolution(k, stride, pad):
     x = rng.standard_normal((2, 2, 5, 7))
     want = _direct_conv(x, m.weight.value, m.bias.value, stride, pad)
     np.testing.assert_allclose(m(x), want, rtol=0, atol=1e-12)
+
+
+def _direct_conv_backward(x, w, grad_out, stride, pad):
+    """The adjoint of `_direct_conv` by the same loops: (weight, bias, input)
+    gradients of sum(_direct_conv(x, w, b) * grad_out)."""
+    B, _, H, W = x.shape
+    O, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gw, gb, gxp = np.zeros_like(w), np.zeros(O), np.zeros_like(xp)
+    for n in range(B):
+        for o in range(O):
+            for i in range(grad_out.shape[2]):
+                for j in range(grad_out.shape[3]):
+                    rows, cols = np.s_[i * stride:i * stride + k], np.s_[j * stride:j * stride + k]
+                    g = grad_out[n, o, i, j]
+                    gw[o] += g * xp[n, :, rows, cols]
+                    gb[o] += g
+                    gxp[n, :, rows, cols] += g * w[o]
+    return gw, gb, gxp[:, :, pad:pad + H, pad:pad + W]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_backward_matches_direct_adjoint(k, stride, pad):
+    rng = np.random.default_rng(10 * k + 3 * stride + pad)
+    m = Conv2d(2, 3, k, stride=stride, pad=pad, rng=rng)
+    x = rng.standard_normal((2, 2, 5, 7))
+    g = rng.standard_normal(m(x).shape)
+    gx = m.backward(g)
+    gw, gb, gx_want = _direct_conv_backward(x, m.weight.value, g, stride, pad)
+    for got, want in ((m.weight.grad, gw), (m.bias.grad, gb), (gx, gx_want)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+CACHED_LAYERS = {
+    "conv2d": (lambda rng: Conv2d(2, 3, stride=2, rng=rng), (2, 2, 6, 8)),
+    "resblock": (lambda rng: ResBlock(3, 5, stride=2, rng=rng), (1, 3, 8, 8)),
+    "lstm": (lambda rng: LSTM(3, 4, rng), (2, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_LAYERS)
+def test_backward_takes_the_cache_forward_left(name):
+    build, shape = CACHED_LAYERS[name]
+    rng = np.random.default_rng(0)
+    m = build(rng)
+    x = rng.standard_normal(shape)
+    g = rng.standard_normal(m(x).shape)
+    gx = m.backward(g)
+    grads = {k: p.grad.copy() for k, p in m.parameters().items()}
+    with pytest.raises(RuntimeError, match=type(m).__name__):
+        m.backward(g)
+    m.zero_grad()
+    m(x)
+    np.testing.assert_array_equal(m.backward(g), gx)
+    for k, p in m.parameters().items():
+        np.testing.assert_array_equal(p.grad, grads[k], err_msg=k)
+
+
+def test_paper_scale_encoder_frees_its_activations():
+    # One float32 encoder on a 52x720 map pair, as the model runs it. Conv2d
+    # keeps its input, not its k*k times larger im2col columns, and each
+    # backward frees what its forward kept: caching the columns held about
+    # 178 MB after forward and as much after backward.
+    rng = np.random.default_rng(0)
+    m = MapEncoder((16, 32, 64), 256, rng=rng).cast(np.float32)
+    x = rng.standard_normal((1, 6, 52, 720)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = np.ones(m(x).shape, np.float32)
+        after_forward = tracemalloc.get_traced_memory()[0] - base
+        m.backward(g)
+        after_backward = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert after_forward < 64e6
+    assert after_backward < 4e6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
