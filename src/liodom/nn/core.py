@@ -92,6 +92,12 @@ class Module:
         for p in self.parameters().values():
             p.grad[...] = 0.0
 
+    def clear_caches(self):
+        """Drop what every module's last forward kept, after forwards that no
+        backward follows (inference)."""
+        for _, m in self.named_modules():
+            m._cache = None
+
     def _take_cache(self):
         """What the last forward kept, handed over once: backward frees it as
         it reads it. A backward without a forward raises RuntimeError."""

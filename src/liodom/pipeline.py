@@ -39,6 +39,12 @@ IMU_MODES = ("initial-pose", "feature-concat", "none")
 HEAD_MODES = ("two-branch", "merged", "vertex-only")
 HEAD_TYPES = ("attention", "fc-activation")
 MATCHING = ("nearest", "pixel")
+# The fewest stem output elements (B * widths[0] * H * W) at which the two
+# map encoders run on two threads. Below it numpy's small array loops
+# hold the GIL, and the interpreter's switch interval serialises the threads:
+# at train-smoke's 9,216 both encoders ran 2x slower concurrently, and at
+# the paper's 599,040 1.6-1.9x faster (ROADMAP, "Not levers").
+CONCURRENT_STEM_SIZE = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -263,12 +269,16 @@ class OdometryModel(Module):
     def residual_pose(self, v_pairs: np.ndarray, n_pairs: np.ndarray | None,
                       imu_feats: np.ndarray | None) -> np.ndarray:
         """Residual pose vectors (B, 6) from stacked map pairs (B, 6, H, W) and
-        optional IMU features."""
-        blocks = [self.vertex_encoder(v_pairs)]
-        if self.normal_encoder is not None:
-            if n_pairs is None:
-                raise ValueError("head mode requires a normal-map pair")
-            blocks.append(self.normal_encoder(n_pairs))
+        optional IMU features. The two encoders run on two threads
+        (`_pool_map`) when the stem's output, B * widths[0] * H * W, holds
+        at least `CONCURRENT_STEM_SIZE` elements; the backward follows the
+        same choice."""
+        if self.normal_encoder is not None and n_pairs is None:
+            raise ValueError("head mode requires a normal-map pair")
+        B, _, H, W = np.shape(v_pairs)
+        self._cache = (self.normal_encoder is not None
+                       and B * self.cfg.encoder_widths[0] * H * W >= CONCURRENT_STEM_SIZE)
+        blocks = self._run_encoders("forward", [v_pairs, n_pairs], self._cache)
         if self.cfg.imu_mode == "feature-concat":
             blocks.append(imu_feats)
         x = np.concatenate(blocks, axis=1)
@@ -279,6 +289,7 @@ class OdometryModel(Module):
 
     def backward(self, grad_delta: np.ndarray, grad_hat: np.ndarray):
         """Backprop the loss gradients (B, 6) on the residual and initial pose vectors."""
+        concurrent = self._take_cache()
         grad_delta = np.asarray(grad_delta, dtype=self.dtype)
         grad_hat = np.asarray(grad_hat, dtype=self.dtype)
         gh_q = self.out_q.backward(self.cfg.q_scale * grad_delta[:, :3])
@@ -289,9 +300,7 @@ class OdometryModel(Module):
             gx = self.head_q.backward(gh_q)
             gx[:, self.t_columns] += self.head_t.backward(gh_t)
         gv, gn, g_imu = np.split(gx, [self.cfg.feature_dim, self.n_end], axis=1)
-        self.vertex_encoder.backward(gv)
-        if self.normal_encoder is not None:
-            self.normal_encoder.backward(gn)
+        self._run_encoders("backward", [gv, gn], concurrent)
         if self.cfg.imu_mode == "initial-pose":
             gh_g = self.fc_q_init.backward(grad_hat[:, :3])
             gh_a = self.fc_t_init.backward(grad_hat[:, 3:])
@@ -301,6 +310,17 @@ class OdometryModel(Module):
             return
         self.lstm_gyro.backward(gh_g)
         self.lstm_acc.backward(gh_a)
+
+    def _run_encoders(self, method: str, inputs, concurrent: bool) -> list:
+        """`method` of each encoder on its input, vertex then normal: one
+        encoder per thread (`_pool_map`) when `concurrent`, else one after
+        the other. Each encoder owns its parameters, running
+        statistics and cache, so both orders give the same bits."""
+        calls = [getattr(e, method) for e in (self.vertex_encoder, self.normal_encoder)
+                 if e is not None]
+        if not concurrent:
+            return [call(x) for call, x in zip(calls, inputs)]
+        return _pool_map(lambda call, x: call(x), calls, inputs)
 
 
 @dataclass(frozen=True)
@@ -453,18 +473,33 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
 
 
 def _pool_map(fn, *iterables) -> list:
-    """list(map(fn, *iterables)), on one worker thread per CPU this process
-    may run on, with the results in input order.
+    """list(map(fn, *iterables)), on one thread per CPU this process may run
+    on, with the results in input order: the calling thread, and a worker
+    thread for each other CPU. With one CPU or one call, the calling thread
+    makes every call.
 
     Threads pay off only where fn spends its time in native code that
     releases the GIL: cKDTree queries, BLAS and numpy's large array loops.
     The first exception raised by any call reaches the caller.
     """
+    calls = list(zip(*iterables))
     # Platforms without CPU affinity report every CPU instead.
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *iterables))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2 or len(calls) < 2:
+        return [fn(*args) for args in calls]
+    # The calling thread works rather than waits: a worker less keeps one
+    # malloc arena less, whose freed blocks would count in the peak RSS.
+    with ThreadPoolExecutor(max_workers=cpus - 1) as pool:
+        futures = [pool.submit(fn, *args) for args in calls]
+        own = {}
+        # Workers start calls in input order; the caller takes the calls no
+        # worker has started, last first.
+        for k in reversed(range(len(calls))):
+            if not futures[k].cancel():
+                break
+            own[k] = fn(*calls[k])
+        return [own[k] if k in own else futures[k].result() for k in range(len(calls))]
 
 
 def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
@@ -504,8 +539,10 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
     thread (`_pool_map`): its loss-side cloud in classical mode, its maps
     in learned mode, both in hybrid mode. A scan that cannot be projected
     or preprocessed raises here. The model's estimates then run one pair
-    after another, as its layers cache activations; the registrations run
-    one pair per worker thread.
+    after another, as its layers cache activations, which are dropped once
+    the last estimate is made; within a pair the two encoders may run on
+    two threads (`OdometryModel.residual_pose`). The registrations run one
+    pair per thread.
     """
     if mode not in ("learned", "classical", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -516,6 +553,7 @@ def run_sequence(pairs, mode: str, cfg: PipelineConfig,
         inits = [Pose.identity()] * len(pairs)
     else:
         inits = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
+        model.clear_caches()    # no backward follows these forwards
 
     def settle(fp, init):
         if not np.isfinite(init.as_vector()).all():

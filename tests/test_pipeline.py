@@ -10,8 +10,8 @@ from liodom import pipeline
 from liodom.config import config_to_dict
 from liodom.geometry import Pose, compose
 from liodom.matching import CorrespondenceSet, EmptyMatchError, transformed_cloud
-from liodom.nn import (Adam, StepLR, central_difference, gradcheck, load_checkpoint,
-                       save_checkpoint)
+from liodom.nn import (Adam, MapEncoder, StepLR, central_difference, gradcheck,
+                       load_checkpoint, save_checkpoint)
 from liodom.pipeline import (HEAD_MODES, IMU_MODES, Frame, FramePair, OdometryModel,
                              PairDiagnostics, PipelineConfig, TrainParams, build_frame_pairs,
                              composed_pose_gradients, estimate_pair,
@@ -393,6 +393,29 @@ class TestRunSequence:
             np.testing.assert_array_equal(relatives[k].matrix, want)
         assert all(np.isfinite(pose.matrix).all() for pose in absolute)
 
+    @pytest.mark.parametrize("mode", ["learned", "hybrid"])
+    def test_inference_keeps_no_activations(self, mode):
+        cfg = _tiny_cfg(imu_mode="initial-pose")
+        pairs, _ = _pairs(cfg, n_frames=4)
+        model = OdometryModel(cfg)
+        model.out_t.bias.value[...] = [0.1, -0.05, 0.02]
+        learned = [estimate_pair(fp, model, cfg)[0] for fp in pairs]
+        assert any(m._cache is not None for _, m in model.named_modules())
+        _, relatives, flags = run_sequence(pairs, mode, cfg, model=model)
+        assert [name for name, m in model.named_modules() if m._cache is not None] == []
+        if mode == "learned":
+            assert flags == ["ok"] * len(pairs)
+            for got, want in zip(relatives, learned, strict=True):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+        # a later training step runs as on a model that never ran inference
+        fresh = OdometryModel(cfg)
+        fresh.load_state_arrays(model.state_arrays())
+        for m in (model, fresh):
+            m.set_training(True)
+            train_step(pairs[0], m, cfg)
+        for name, p in fresh.parameters().items():
+            np.testing.assert_array_equal(model.parameters()[name].grad, p.grad, err_msg=name)
+
     def test_learned_zero_init_gives_identity_trajectory(self):
         cfg = _tiny_cfg(imu_mode="none")
         pairs, _ = _pairs(cfg)
@@ -547,6 +570,22 @@ class TestPooledStages:
         _, _, flags = run_sequence(small, "learned", cfg, model=model)
         assert flags == ["ok", "ok"]
 
+    def test_pool_map_makes_each_call_once_in_order(self):
+        made = []
+        out = pipeline._pool_map(lambda k, s: made.append(k) or k * s, range(50), [2] * 50)
+        assert out == [2 * k for k in range(50)]
+        assert sorted(made) == list(range(50))
+
+    @pytest.mark.parametrize("bad", [0, 49])    # a worker's first call; the caller's first
+    def test_pool_map_raises_a_calls_error(self, bad):
+        def fn(k):
+            if k == bad:
+                raise ValueError(f"call {k}")
+            return k
+
+        with pytest.raises(ValueError, match=f"call {bad}"):
+            pipeline._pool_map(fn, range(50))
+
     def test_clouds_must_match_scans_one_to_one(self):
         scans = [scan_from_pose(_scene(), Pose(t=[0.15 * k, 0.0, 0.0])) for k in range(3)]
         with pytest.raises(ValueError, match="2 clouds for 3 scans"):
@@ -583,6 +622,83 @@ class TestPooledStages:
         assert flags == want_flags == ["ok", "registration-failed", "ok"]
         for got, pose in zip(relatives, want, strict=True):
             np.testing.assert_array_equal(got.matrix, pose.matrix)
+
+
+class TestConcurrentEncoders:
+    """At and above `CONCURRENT_STEM_SIZE` stem output elements the two map
+    encoders run on two threads, with the serial order's bits."""
+
+    # widths[0] * H * W = 4 * 16 * 512 = 2 ** 15, the smallest size that goes concurrent
+    CFG = _tiny_cfg(imu_mode="initial-pose", encoder_widths=(4, 8, 16),
+                    projection=ProjectionConfig(f_w=180.0, f_h=24.0, eta_w=360.0 / 512,
+                                                eta_h=1.5, H=16, W=512))
+
+    def _train_step(self, monkeypatch, cpus, pooled_calls=2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        pool_map, pooled = pipeline._pool_map, []
+        monkeypatch.setattr(pipeline, "_pool_map",
+                            lambda fn, *args: pooled.append(len(args[0])) or pool_map(fn, *args))
+        pairs, _ = _pairs(self.CFG)
+        model = OdometryModel(self.CFG)
+        rng = np.random.default_rng(0)
+        for p in model.parameters().values():   # zero output layers would pass no gradient
+            if not p.value.any():
+                p.value[...] = rng.normal(scale=0.01, size=p.value.shape)
+        model.set_training(True)
+        loss, _, diag = train_step(pairs[0], model, self.CFG)
+        assert pooled == [2] * pooled_calls    # the encoders' forwards, then their backwards
+        grads = {k: p.grad.copy() for k, p in model.parameters().items()}
+        return loss, diag.residual.as_vector(), grads, model.buffers()
+
+    @pytest.mark.parametrize("serial", ["one-cpu", "below-threshold"])
+    def test_threads_give_the_serial_bits(self, monkeypatch, serial):
+        loss, residual, grads, buffers = self._train_step(monkeypatch, cpus=2)
+        if serial == "below-threshold":     # the encoders run in turn, with no worker thread
+            monkeypatch.setattr(pipeline, "CONCURRENT_STEM_SIZE", np.inf)
+            want = self._train_step(monkeypatch, cpus=2, pooled_calls=0)
+        else:
+            want = self._train_step(monkeypatch, cpus=1)
+        want_loss, want_residual, want_grads, want_buffers = want
+        assert loss == want_loss
+        np.testing.assert_array_equal(residual, want_residual)
+        assert grads.keys() == want_grads.keys() and buffers.keys() == want_buffers.keys()
+        assert all(g.any() for g in grads.values())
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
+        for name in buffers:
+            np.testing.assert_array_equal(buffers[name], want_buffers[name], err_msg=name)
+
+    def test_an_encoder_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        model = OdometryModel(self.CFG)
+        v_pairs = np.zeros((1, 6, 16, 512))
+        n_pairs = np.zeros((1, 6, MapEncoder.FLOOR - 1, 512))    # the normal encoder's thread raises
+        with pytest.raises(ValueError, match="below the downsampling floor"):
+            model.residual_pose(v_pairs, n_pairs, None)
+
+    @pytest.mark.parametrize("widths, H, W, head_mode, concurrent", [
+        ((4, 8, 16), 16, 144, "two-branch", False),     # train-smoke, criterion 7: 9,216
+        ((16, 32, 64), 52, 720, "two-branch", True),    # the paper's default: 599,040
+        ((4, 8, 16), 16, 512, "vertex-only", False),    # 32,768, but one encoder only
+    ])
+    def test_the_threshold_routes_workloads(self, monkeypatch, widths, H, W, head_mode,
+                                            concurrent):
+        class Pooled(Exception):
+            pass
+
+        def pool_map(fn, *args):
+            raise Pooled
+
+        monkeypatch.setattr(pipeline, "_pool_map", pool_map)
+        cfg = PipelineConfig(head_mode=head_mode, encoder_widths=widths,
+                             projection=ProjectionConfig(eta_w=360.0 / W, H=H, W=W))
+        model = OdometryModel(cfg)
+        maps = np.zeros((1, 6, H, W), np.float32)
+        if concurrent:
+            with pytest.raises(Pooled):
+                model.residual_pose(maps, maps, None)
+        else:
+            assert model.residual_pose(maps, maps, None).shape == (1, 6)
 
 
 class TestPrecision:
