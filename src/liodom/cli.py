@@ -300,7 +300,7 @@ def cmd_export_traj(args) -> int:
         raise FormatError(f"{args.calib}: Tr is not rigid: its 3x3 block has "
                           f"max |R^T R - I| {deviation:.1e} and determinant {det:.3g}")
     camera = lidar_to_camera_frame(poses, calib["Tr"])
-    write_poses(args.output, [Pose.from_matrix(T) for T in camera])
+    write_poses(args.output, camera)
     print(f"wrote {len(poses)} camera-frame poses to {args.output}")
     return 0
 

@@ -191,10 +191,10 @@ def read_poses(path) -> np.ndarray:
 
 
 def write_poses(path, poses):
-    with open(path, "w") as f:
-        for pose in poses:
-            row = pose.matrix[:3, :].reshape(-1)
-            f.write(" ".join(format(v, ".12e") for v in row) + "\n")
+    """Write an (N, 4, 4) array-like, such as a stack or a list of `Pose`s,
+    as a KITTI pose file: each matrix's upper 3x4, row-major, `.12e`."""
+    rows = np.asarray(poses, dtype=float).reshape(-1, 4, 4)[:, :3, :].reshape(-1, 12)
+    np.savetxt(path, rows, fmt="%.12e")
 
 
 def read_calib(path) -> dict[str, np.ndarray]:

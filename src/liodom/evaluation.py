@@ -2,9 +2,9 @@
 
 Segment-averaged translational error (%) and rotational error (deg/100m)
 over ground-truth path lengths of 100-800 m, plus relative-to-absolute
-trajectory assembly. The metrics read trajectories as (N, 4, 4) matrix
-stacks, as `dataset_io.read_poses` returns them. Path length is computed
-on the ground truth only.
+trajectory assembly. A trajectory is an (N, 4, 4) matrix stack, as
+`accumulate` builds it and `dataset_io.read_poses` returns it. Path
+length is computed on the ground truth only.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, compose, rotation_angle
+from .geometry import rotation_angle
 
 SEGMENT_LENGTHS = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
@@ -42,12 +42,13 @@ class SegmentErrorReport:
         return "\n".join(lines)
 
 
-def accumulate(relative_poses) -> list[Pose]:
-    """Chain relative poses into an absolute trajectory; first pose identity."""
-    absolute = [Pose.identity()]
-    for rel in relative_poses:
-        absolute.append(compose(absolute[-1], rel))
-    return absolute
+def accumulate(relative_poses) -> np.ndarray:
+    """Chain N relative poses (4x4 matrices or `Pose`s) into an (N+1, 4, 4)
+    trajectory by cumulative matrix product; first pose identity."""
+    absolute = [np.eye(4)]
+    for T in np.asarray(relative_poses, dtype=float).reshape(-1, 4, 4):
+        absolute.append(absolute[-1] @ T)
+    return np.array(absolute)
 
 
 def path_lengths(poses: np.ndarray) -> np.ndarray:

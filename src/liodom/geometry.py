@@ -2,8 +2,9 @@
 
 Convention: intrinsic ZYX, i.e. R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
 Angles are radians everywhere inside the package; degrees appear only at
-I/O boundaries. Gimbal lock (|pitch| near pi/2) is not special-cased:
-inter-frame rotations in odometry are small.
+I/O boundaries. Gimbal lock (|pitch| near pi/2) is not special-cased: a
+`Pose` is one inter-frame rotation, which is small in odometry, and an
+absolute trajectory is an (N, 4, 4) stack that takes no Euler angles.
 """
 
 from __future__ import annotations
@@ -28,19 +29,10 @@ def _rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _drot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
-
-
-def _drot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-
-
-def _drot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+# Generators of rotation about x, y and z: d/da rot_x(a) = rot_x(a) @ _K_X.
+_K_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+_K_Y = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+_K_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def euler_to_matrix(q) -> np.ndarray:
@@ -65,7 +57,7 @@ def rotation_derivatives(q) -> list[np.ndarray]:
     """dR/droll, dR/dpitch, dR/dyaw for R = Rz(yaw) Ry(pitch) Rx(roll)."""
     roll, pitch, yaw = np.asarray(q, dtype=float)
     rx, ry, rz = _rot_x(roll), _rot_y(pitch), _rot_z(yaw)
-    return [rz @ ry @ _drot_x(roll), rz @ _drot_y(pitch) @ rx, _drot_z(yaw) @ ry @ rx]
+    return [rz @ ry @ (rx @ _K_X), rz @ (ry @ _K_Y) @ rx, (rz @ _K_Z) @ ry @ rx]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +66,7 @@ class Pose:
 
     q, t and the rotation matrix are read-only, so the matrix is computed
     once per pose, at first use, and shared by every move of that pose.
-    Slots keep each pose small: a trajectory holds thousands of them.
+    Slots keep each pose small: a sequence holds thousands of them.
     """
 
     q: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -105,14 +97,13 @@ class Pose:
         T[:3, 3] = self.t
         return T
 
+    def __array__(self, dtype=None, copy=None):
+        """numpy reads a pose as its 4x4 matrix, and a list of them as a stack."""
+        return np.asarray(self.matrix, dtype=dtype)
+
     @classmethod
     def identity(cls) -> "Pose":
         return cls()
-
-    @classmethod
-    def from_matrix(cls, T: np.ndarray) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return cls(q=matrix_to_euler(T[:3, :3]), t=T[:3, 3].copy())
 
     @classmethod
     def from_vector(cls, p) -> "Pose":
@@ -125,7 +116,7 @@ class Pose:
 
     def inverse(self) -> "Pose":
         R = self.rotation
-        return Pose.from_matrix(np.block([[R.T, (-R.T @ self.t)[:, None]], [np.zeros((1, 3)), np.ones((1, 1))]]))
+        return Pose(q=matrix_to_euler(R.T), t=-R.T @ self.t)
 
 
 def compose(outer: Pose, inner: Pose) -> Pose:
@@ -154,7 +145,11 @@ def apply_to_normal(T: Pose, n) -> np.ndarray:
 
 
 def rotation_angle(R: np.ndarray) -> float | np.ndarray:
-    """Angle (rad) of a rotation matrix, via the trace formula: a float for
-    one (3, 3) matrix, an array of angles for a (..., 3, 3) stack."""
-    angle = np.arccos(np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    """Angle (rad) of a rotation matrix: a float for one (3, 3) matrix, an
+    array of angles for a (..., 3, 3) stack. The atan2 of |vee(R - R^T)| =
+    2 sin(angle) and trace(R) - 1 = 2 cos(angle) is exact to rounding near
+    0, where an arccos of the trace alone loses half its digits."""
+    R = np.asarray(R, dtype=float)
+    x, y, z = R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0], R[..., 1, 0] - R[..., 0, 1]
+    angle = np.arctan2(np.sqrt(x * x + y * y + z * z), np.trace(R, axis1=-2, axis2=-1) - 1.0)
     return float(angle) if np.ndim(angle) == 0 else angle

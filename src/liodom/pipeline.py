@@ -526,7 +526,8 @@ def build_frame_pairs(scans, cfg: PipelineConfig, imu_windows=None,
 
 def run_sequence(pairs, mode: str, cfg: PipelineConfig,
                  model: OdometryModel | None = None):
-    """Chain per-pair estimates into absolute poses (first pose identity).
+    """Chain per-pair estimates into the absolute (N+1, 4, 4) trajectory,
+    first pose identity; also return the relative `Pose`s and their flags.
 
     Modes: learned (network only), classical (registration from identity),
     hybrid (registration warm-started from the learned pose). A pair is

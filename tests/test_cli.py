@@ -8,11 +8,10 @@ import yaml
 from liodom import cli, pipeline
 from liodom.cli import main
 from liodom.config import ConfigError, config_from_dict, dump_config, load_config
-from liodom.dataset_io import read_calib, read_poses, write_poses, write_velodyne_bin
+from liodom.dataset_io import (lidar_to_camera_frame, read_calib, read_poses, write_poses,
+                               write_velodyne_bin)
 from liodom.geometry import Pose
 from liodom.nn import GradcheckResult, gradcheck, load_checkpoint, save_checkpoint
-
-from test_evaluation import stack
 
 TINY_FLAGS = [
     "--set", "pipeline.feature_dim=16",
@@ -197,7 +196,19 @@ class TestCliRoundTrip:
         # a rigid change of frame keeps each step's length
         assert np.linalg.norm(camera[:, :3, 3], axis=1) == pytest.approx([0.0, 0.3, 0.6])
         Tr = read_calib(calib)["Tr"]
-        np.testing.assert_allclose(camera, Tr @ stack(lidar) @ np.linalg.inv(Tr), atol=1e-12)
+        np.testing.assert_allclose(camera, Tr @ np.asarray(lidar) @ np.linalg.inv(Tr), atol=1e-12)
+
+    def test_export_traj_near_ninety_degree_pitch(self, tmp_path):
+        # KITTI's axis swap makes the lidar yaw the camera frame's ZYX pitch,
+        # where an Euler round trip loses about 1e-8
+        calib, poses, out = tmp_path / "calib.txt", tmp_path / "poses.txt", tmp_path / "cam.txt"
+        calib.write_text("Tr: 0 -1 0 0 0 0 -1 0 1 0 0 0\n")
+        yaws = np.pi / 2 + np.linspace(-1e-8, 1e-8, 21)
+        write_poses(poses, [Pose(q=[0.0, 0.0, yaw], t=[1.0, 2.0, 3.0]) for yaw in yaws])
+        assert main(["export-traj", "--poses", str(poses), "--calib", str(calib),
+                     "--output", str(out)]) == 0
+        want = lidar_to_camera_frame(read_poses(poses), read_calib(calib)["Tr"])
+        np.testing.assert_allclose(read_poses(out), want, rtol=0, atol=1e-12)
 
 
 # A short voxel walk: these tests check the resolved config, not the clouds.

@@ -9,8 +9,6 @@ from liodom.dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
                                write_velodyne_bin)
 from liodom.geometry import Pose
 
-from test_evaluation import stack
-
 
 class TestVelodyne:
     def test_byte_level_round_trip(self, tmp_path):
@@ -146,7 +144,10 @@ class TestPoses:
                  for _ in range(7)]
         path = tmp_path / "poses.txt"
         write_poses(path, poses)
-        np.testing.assert_allclose(read_poses(path), stack(poses), atol=1e-9)
+        np.testing.assert_allclose(read_poses(path), np.asarray(poses), atol=1e-9)
+        # a pose reads as its matrix, so a list and its stack write the same bytes
+        write_poses(tmp_path / "stack.txt", np.asarray(poses))
+        assert (tmp_path / "stack.txt").read_bytes() == path.read_bytes()
 
     def test_format_is_twelve_reals_per_line(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -252,6 +253,6 @@ def test_lidar_to_camera_frame_conjugation():
     Tr[:3, :3] = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
     Tr[:3, 3] = [0.1, -0.05, 0.2]
     poses = [Pose(q=[0.1, 0.0, 0.3], t=[2.0, 1.0, 0.0])]
-    out = lidar_to_camera_frame(stack(poses), Tr)
+    out = lidar_to_camera_frame(np.asarray(poses), Tr)
     assert out.shape == (1, 4, 4)
     np.testing.assert_allclose(out[0], Tr @ poses[0].matrix @ np.linalg.inv(Tr), atol=1e-12)

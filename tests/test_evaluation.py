@@ -6,11 +6,6 @@ from liodom.evaluation import SEGMENT_LENGTHS, accumulate, kitti_relative_errors
 from liodom.geometry import Pose, compose
 
 
-def stack(poses):
-    """A list of poses as the (N, 4, 4) matrix stack that the metrics read."""
-    return np.stack([p.matrix for p in poses])
-
-
 def _straight_line(n=1200, step=1.0):
     return [Pose(q=[0.0, 0.0, 0.0], t=[i * step, 0.0, 0.0]) for i in range(n)]
 
@@ -65,18 +60,28 @@ def brute_force_errors(estimated, ground_truth, lengths=SEGMENT_LENGTHS,
 
 
 def test_identical_trajectories_zero_error():
-    gt = stack(_random_trajectory(np.random.default_rng(0)))
+    gt = np.asarray(_random_trajectory(np.random.default_rng(0)))
     report = kitti_relative_errors(gt, gt)
     assert report.total_segments > 0
     assert report.t_rel == pytest.approx(0.0, abs=1e-9)
-    # arccos near 1 amplifies double-precision noise to ~1e-8 rad
-    assert report.r_rel == pytest.approx(0.0, abs=1e-6)
+    assert report.r_rel == pytest.approx(0.0, abs=1e-12)
+
+
+def test_identical_rotations_give_no_rotation_error():
+    # eval-long's case: the estimate keeps the ground truth's rotations and
+    # scales its positions, so every segment's rotation error is 0
+    gt = _random_trajectory(np.random.default_rng(0))
+    est = [Pose(q=p.q, t=1.01 * p.t) for p in gt]
+    report = kitti_relative_errors(np.asarray(est), np.asarray(gt))
+    assert set(report.per_length) == set(SEGMENT_LENGTHS)
+    for L, (_, r, _) in report.per_length.items():
+        assert r <= 1e-12, f"{L} m: {r} deg/100 m"
 
 
 def test_scaled_straight_line_gives_one_percent():
     gt = _straight_line()
     est = [Pose(q=p.q, t=1.01 * np.asarray(p.t)) for p in gt]
-    report = kitti_relative_errors(stack(est), stack(gt))
+    report = kitti_relative_errors(np.asarray(est), np.asarray(gt))
     assert report.t_rel == pytest.approx(1.00, abs=0.01)
     assert report.r_rel == pytest.approx(0.0, abs=1e-12)
 
@@ -88,7 +93,7 @@ def test_agrees_with_brute_force_oracle():
         est = [compose(p, Pose(q=rng.normal(0, 0.002, 3),
                                t=rng.normal(0, 0.05, 3))) for p in gt]
         stride = int(rng.integers(1, 4))
-        report = kitti_relative_errors(stack(est), stack(gt), stride=stride)
+        report = kitti_relative_errors(np.asarray(est), np.asarray(gt), stride=stride)
         per, t_rel, r_rel = brute_force_errors(est, gt, stride=stride)
         assert abs(report.t_rel - t_rel) < 1e-9
         assert abs(report.r_rel - r_rel) < 1e-9
@@ -100,7 +105,7 @@ def test_agrees_with_brute_force_oracle():
 
 
 def test_short_trajectory_has_no_segments():
-    gt = stack(_straight_line(n=50))
+    gt = np.asarray(_straight_line(n=50))
     report = kitti_relative_errors(gt, gt)
     assert report.total_segments == 0
     assert report.per_length == {}
@@ -108,12 +113,12 @@ def test_short_trajectory_has_no_segments():
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        kitti_relative_errors(stack(_straight_line(5)), stack(_straight_line(6)))
+        kitti_relative_errors(np.asarray(_straight_line(5)), np.asarray(_straight_line(6)))
 
 
 @pytest.mark.parametrize("stride", [0, -1])
 def test_non_positive_stride_rejected(stride):
-    gt = stack(_straight_line(n=300))
+    gt = np.asarray(_straight_line(n=300))
     with pytest.raises(ValueError, match="stride"):
         kitti_relative_errors(gt, gt, stride=stride)
 
@@ -130,14 +135,13 @@ def test_accumulate_inverts_deltas(absolute):
     # accumulate(deltas) is the trajectory re-anchored at its first pose
     deltas = [compose(a.inverse(), b) for a, b in zip(absolute, absolute[1:])]
     rebuilt = accumulate(deltas)
-    assert len(rebuilt) == len(absolute)
+    assert isinstance(rebuilt, np.ndarray) and rebuilt.shape == (len(absolute), 4, 4)
     origin = np.linalg.inv(absolute[0].matrix)
-    for a, b in zip(absolute, rebuilt):
-        np.testing.assert_allclose(b.matrix, origin @ a.matrix, atol=1e-9)
+    np.testing.assert_allclose(rebuilt, origin @ np.asarray(absolute), atol=1e-9)
 
 
 def test_csv_and_table_render():
-    gt = stack(_straight_line())
+    gt = np.asarray(_straight_line())
     report = kitti_relative_errors(gt, gt)
     csv = report.as_csv()
     assert csv.startswith("length_m,")
