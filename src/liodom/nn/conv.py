@@ -23,11 +23,12 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     if pad:
         xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + H, pad:pad + W] = x
-    cols = np.empty((B, C, k, k, Ho, Wo), dtype=x.dtype)
-    for a in range(k):
-        for b in range(k):
-            cols[:, :, a, b] = xp[:, :, a:a + stride * Ho:stride, b:b + stride * Wo:stride]
-    return cols.reshape(B, C * k * k, Ho * Wo), (Ho, Wo)
+    # Every k x k window as a read-only view; reshape copies it in one pass.
+    sB, sC, sH, sW = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (B, C, k, k, Ho, Wo), (sB, sC, sH, sW, stride * sH, stride * sW),
+        writeable=False)
+    return windows.reshape(B, C * k * k, Ho * Wo), (Ho, Wo)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int):
@@ -104,8 +105,16 @@ class ChannelNorm(Module):
         self._cache = (xhat, scale)
         y = self.gamma.value[:, None, None] * xhat + self.beta.value[:, None, None]
         if self.training:
-            m = x.mean(axis=(0, 2, 3))
-            v = x.var(axis=(0, 2, 3))
+            # The calls that x.mean and x.var over (0, 2, 3) make, so the same
+            # bits, but with the batch mean reduced once, not twice
+            n = np.intp(x.size // x.shape[1])
+            m = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+            np.true_divide(m, n, out=m, casting="unsafe")
+            d = np.subtract(x, m)
+            np.square(d, out=d)
+            v = np.add.reduce(d, axis=(0, 2, 3))
+            np.true_divide(v, n, out=v, casting="unsafe")
+            m = m.reshape(-1)
             self.running_mean += self.momentum * (m - self.running_mean)
             self.running_var += self.momentum * (v - self.running_var)
         return y

@@ -100,13 +100,15 @@ class LSTM(Module):
         H = self.hidden_size
         h = np.zeros((B, H), dtype=x.dtype)
         c = np.zeros((B, H), dtype=x.dtype)
+        # Every step's input projection in one call. Step-major, each step's
+        # product is the same BLAS call that x[:, s] @ w_ih.T would make.
+        xw = x.transpose(1, 0, 2) @ self.w_ih.value.T
         steps = []
         for s in range(S):
-            z = x[:, s] @ self.w_ih.value.T + h @ self.w_hh.value.T + self.bias.value
-            i = sigmoid(z[:, :H])
-            f = sigmoid(z[:, H:2 * H])
+            z = xw[s] + h @ self.w_hh.value.T + self.bias.value
+            gates = sigmoid(z)
+            i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
             g = np.tanh(z[:, 2 * H:3 * H])
-            o = sigmoid(z[:, 3 * H:])
             h_prev, c_prev = h, c
             c = f * c_prev + i * g
             tc = np.tanh(c)

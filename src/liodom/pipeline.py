@@ -447,11 +447,13 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
     if scheduler is not None:
         scheduler.set_epoch(epoch)
     model.set_training(True)
+    params = list(model.parameters().values())     # one walk of the module tree per epoch
     bs = cfg.train.batch_size
     rows = []                       # (loss, point-to-plane, plane-to-plane) per trained pair
     skipped = 0
     for start in range(0, len(pairs), bs):
-        model.zero_grad()
+        for p in params:
+            p.grad[...] = 0.0
         before = len(rows)
         for fp in pairs[start:start + bs]:
             try:
@@ -463,7 +465,7 @@ def train_epoch(pairs, model: OdometryModel, optimizer: Adam,
         used = len(rows) - before
         if used == 0:
             continue
-        for p in model.parameters().values():
+        for p in params:
             p.grad /= used
         optimizer.step()
     model.set_training(False)

@@ -8,6 +8,8 @@ from liodom.nn import (Adam, AttentionHead, ChannelNorm, Conv2d,
                        FcActivationHead, Linear, LSTM, MapEncoder, Module, Param,
                        ResBlock, StepLR, central_difference, gradcheck,
                        load_checkpoint, save_checkpoint)
+from liodom.nn.conv import _im2col
+from liodom.nn.core import sigmoid
 
 
 SEEDS = range(10)
@@ -177,6 +179,37 @@ def test_conv2d_backward_matches_direct_adjoint(k, stride, pad):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _im2col_by_offsets(x, k, stride, pad):
+    """im2col by one slice assignment per kernel offset: the reference."""
+    B, C, H, W = x.shape
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
+    xp = x
+    if pad:
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + H, pad:pad + W] = x
+    cols = np.empty((B, C, k, k, Ho, Wo), dtype=x.dtype)
+    for a in range(k):
+        for b in range(k):
+            cols[:, :, a, b] = xp[:, :, a:a + stride * Ho:stride, b:b + stride * Wo:stride]
+    return cols.reshape(B, C * k * k, Ho * Wo), (Ho, Wo)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_im2col_matches_per_offset_slices(dtype, B, k, stride, pad):
+    rng = np.random.default_rng(100 * B + 10 * k + 3 * stride + pad)
+    x = rng.standard_normal((B, 3, 5, 7)).astype(dtype)
+    cols, size = _im2col(x, k, stride, pad)
+    want, want_size = _im2col_by_offsets(x, k, stride, pad)
+    assert size == want_size
+    assert cols.dtype == dtype
+    np.testing.assert_array_equal(cols, want)
+
+
 CACHED_LAYERS = {
     "conv2d": (lambda rng: Conv2d(2, 3, stride=2, rng=rng), (2, 2, 6, 8)),
     "resblock": (lambda rng: ResBlock(3, 5, stride=2, rng=rng), (1, 3, 8, 8)),
@@ -251,13 +284,23 @@ def test_channelnorm_gradcheck():
 
 
 def test_channelnorm_updates_running_stats_in_training():
+    # Bit for bit the update from x.mean and x.var over (0, 2, 3), twice, so
+    # the second starts from running statistics that are neither 0 nor 1; at
+    # the model's batch of 1 and at 4, in either precision.
     rng = np.random.default_rng(1)
-    m = ChannelNorm(2, momentum=0.5)
-    m.training = True
-    x = rng.standard_normal((4, 2, 3, 3)) * 2.0 + 1.0
-    before = m.running_mean.copy()
-    m(x)
-    assert not np.allclose(m.running_mean, before)
+    for dtype in (np.float32, np.float64):
+        for B in (1, 4):
+            m = ChannelNorm(2, momentum=0.5).cast(dtype)
+            m.training = True
+            mean, var = m.running_mean.copy(), m.running_var.copy()
+            for _ in range(2):
+                x = (rng.standard_normal((B, 2, 3, 5)) * 2.0 + 1.0).astype(dtype)
+                m(x)
+                mean += 0.5 * (x.mean(axis=(0, 2, 3)) - mean)
+                var += 0.5 * (x.var(axis=(0, 2, 3)) - var)
+                np.testing.assert_array_equal(m.running_mean, mean)
+                np.testing.assert_array_equal(m.running_var, var)
+            assert m.running_mean.dtype == m.running_var.dtype == dtype
     m.training = False
     frozen = m.running_mean.copy()
     m(x)
@@ -277,6 +320,54 @@ def test_lstm_single_step_hand_computed():
     c = s * math.tanh(0.5)
     expected = s * math.tanh(c)
     assert h[0, 0] == pytest.approx(expected, abs=1e-14)
+
+
+def _lstm_forward_by_steps(m, x):
+    """LSTM forward with a per-step input GEMM and three sigmoid calls: the
+    reference. Returns the final hidden state and the per-step cache."""
+    H = m.hidden_size
+    h = np.zeros((x.shape[0], H), dtype=x.dtype)
+    c = np.zeros_like(h)
+    steps = []
+    for s in range(x.shape[1]):
+        z = x[:, s] @ m.w_ih.value.T + h @ m.w_hh.value.T + m.bias.value
+        i = sigmoid(z[:, :H])
+        f = sigmoid(z[:, H:2 * H])
+        g = np.tanh(z[:, 2 * H:3 * H])
+        o = sigmoid(z[:, 3 * H:])
+        h_prev, c_prev = h, c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((x[:, s], h_prev, c_prev, i, f, g, o, tc))
+    return h, steps
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 2])
+def test_lstm_matches_per_step_reference(dtype, B):
+    # The backward is fed the reference's cache for the reference gradients.
+    rng = np.random.default_rng(B)
+    m = LSTM(3, 16, rng).cast(dtype)
+    x = rng.standard_normal((B, 15, 3)).astype(dtype)
+    grad = rng.standard_normal((B, 16)).astype(dtype)
+    want_h, want_steps = _lstm_forward_by_steps(m, x)
+    m._cache = want_steps
+    want_gx = m.backward(grad)
+    want_grads = {k: p.grad.copy() for k, p in m.parameters().items()}
+    m.zero_grad()
+    h = m(x)
+    steps = m._cache
+    gx = m.backward(grad)
+    np.testing.assert_array_equal(h, want_h)
+    assert len(steps) == len(want_steps)
+    for step, want_step in zip(steps, want_steps):
+        for got, want in zip(step, want_step):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(gx, want_gx)
+    for k, p in m.parameters().items():
+        np.testing.assert_array_equal(p.grad, want_grads[k], err_msg=k)
 
 
 def test_attention_head_formula():
