@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, config_to_dict, dump_config, load_config
 from .dataset_io import (FormatError, lidar_to_camera_frame, read_calib, read_cloud,
-                         read_oxts, read_poses, read_times, read_velodyne_bin,
+                         read_oxts, read_poses, read_times, read_velodyne_bin, row_line,
                          window_imu, write_cloud, write_oxts, write_poses,
                          write_velodyne_bin)
 from .evaluation import SEGMENT_LENGTHS, kitti_relative_errors, path_lengths
@@ -43,6 +43,10 @@ from .synth import corridor_sequence
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# Bound on max |R^T R - I| for a pose that `eval` reads. KITTI's pose files
+# hold 6 significant digits, so their rotations are orthonormal to about 1e-6.
+POSE_RIGIDITY = 1e-3
 
 
 def _parse_overrides(pairs) -> dict:
@@ -273,9 +277,30 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _rigidity(R: np.ndarray):
+    """max |R^T R - I| and det R of a (..., 3, 3) array, per matrix; a value
+    that overflows reads as inf or nan, with no warning."""
+    with np.errstate(all="ignore"):
+        return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1)), np.linalg.det(R)
+
+
+def _read_rigid_poses(path) -> np.ndarray:
+    """`read_poses`, rejecting the first pose whose 3x3 block is not a
+    rotation to within POSE_RIGIDITY, or whose determinant is not positive:
+    the segment errors invert every pose."""
+    poses = read_poses(path)
+    deviation, det = _rigidity(poses[:, :3, :3])
+    bad = np.flatnonzero(~((deviation <= POSE_RIGIDITY) & (det > 0)))
+    if bad.size:
+        k = bad[0]
+        raise FormatError(f"{path}: line {row_line(path, k)} is not a rigid pose: its 3x3 block "
+                          f"has max |R^T R - I| {deviation[k]:.1e} and determinant {det[k]:.3g}")
+    return poses
+
+
 def cmd_eval(args) -> int:
-    est = read_poses(args.estimated)
-    gt = read_poses(args.ground_truth)
+    est = _read_rigid_poses(args.estimated)
+    gt = _read_rigid_poses(args.ground_truth)
     if len(est) != len(gt):
         raise FormatError(f"trajectory lengths differ: {len(est)} vs {len(gt)}")
     report = kitti_relative_errors(est, gt, stride=args.stride)
@@ -294,8 +319,7 @@ def cmd_export_traj(args) -> int:
     if "Tr" not in calib:
         raise FormatError(f"{args.calib}: no Tr entry")
     # KITTI's published calibrations are orthonormal to about 1e-7
-    R = calib["Tr"][:3, :3]
-    deviation, det = np.abs(R.T @ R - np.eye(3)).max(), np.linalg.det(R)
+    deviation, det = _rigidity(calib["Tr"][:3, :3])
     if not (deviation <= 1e-6 and det > 0):
         raise FormatError(f"{args.calib}: Tr is not rigid: its 3x3 block has "
                           f"max |R^T R - I| {deviation:.1e} and determinant {det:.3g}")

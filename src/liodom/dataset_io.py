@@ -5,8 +5,8 @@ text files (12 reals per line, row-major upper 3x4, read as an (N, 4, 4)
 matrix stack), calib text files (key: 12 reals), OXTS inertial text
 records (>= 23 whitespace fields per line), timestamp files (one real
 per line, never decreasing), and preprocessed clouds (.npz). Readers
-reject malformed input and values that are not finite, naming the file
-and, in text files, the line.
+reject malformed input, text that is not UTF-8 and values that are not
+finite, naming the file and, in text files, the line.
 """
 
 from __future__ import annotations
@@ -72,14 +72,13 @@ def read_cloud(path) -> PreprocessedCloud:
 def read_times(path) -> np.ndarray:
     """A timestamp file such as times.txt: one real per line, in seconds,
     none smaller than the one before."""
-    with open(path) as f:
-        rows = [(lineno, _reals(line.split(), path, lineno, 1)[0])
-                for lineno, line in enumerate(f, start=1) if line.strip()]
-    for (_, before), (lineno, t) in zip(rows, rows[1:]):
-        if t < before:
-            raise FormatError(f"{path}: line {lineno} has time {t}, smaller than the time "
-                              f"before it ({before})")
-    return np.array([t for _, t in rows])
+    times = _table(path, 1)[:, 0]
+    drops = np.flatnonzero(times[1:] < times[:-1])
+    if drops.size:
+        k = drops[0] + 1
+        raise FormatError(f"{path}: line {row_line(path, k)} has time {times[k]}, smaller than "
+                          f"the time before it ({times[k - 1]})")
+    return times
 
 
 def read_oxts(directory) -> np.ndarray:
@@ -94,7 +93,7 @@ def read_oxts(directory) -> np.ndarray:
         raise FormatError(f"{directory}: no OXTS .txt records")
     out = np.empty((len(files), 6))
     for i, f in enumerate(files):
-        fields = f.read_text().strip().split()
+        fields = _read_text(f).split()
         if len(fields) < 23:
             raise FormatError(f"{f}: line 1 has {len(fields)} fields, need >= 23")
         vals = _reals(fields, f, 1)
@@ -149,6 +148,28 @@ def window_imu(records: np.ndarray, record_times: np.ndarray,
     return windows
 
 
+def _read_text(path) -> str:
+    """A text file's contents, with universal newlines; a file that is not
+    UTF-8 is a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _fields_by_line(path):
+    """(line number, whitespace-separated fields) of each non-blank line."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if fields := line.split():
+            yield lineno, fields
+
+
+def row_line(path, row: int) -> int:
+    """The line number of a table file's `row`-th non-blank line: the line
+    that `read_poses` and `read_times` read that row from."""
+    return [lineno for lineno, _ in _fields_by_line(path)][row]
+
+
 def _reals(fields, path, lineno, count: int | None = None) -> np.ndarray:
     """A line's fields as finite reals; exactly `count` of them unless None."""
     if count is not None and len(fields) != count:
@@ -162,6 +183,26 @@ def _reals(fields, path, lineno, count: int | None = None) -> np.ndarray:
     return vals
 
 
+def _table(path, columns: int) -> np.ndarray:
+    """A text file's non-blank lines as an (N, columns) float64 array of
+    finite reals, N >= 0. One `np.loadtxt` call parses a well-formed file.
+    A file that it rejects, or whose rows are not `columns` finite reals, is
+    read line by line, so `_reals` names the first line at fault; a file
+    whose start is blank is too, as loadtxt warns on a file with no data."""
+    rows = None
+    try:
+        with open(path, encoding="utf-8") as f:
+            if f.read(64).strip():
+                f.seek(0)
+                rows = np.loadtxt(f, ndmin=2, comments=None)
+    except ValueError:    # a token that does not parse, unequal lines, or not UTF-8
+        pass
+    if rows is None or rows.shape[1] != columns or not np.isfinite(rows).all():
+        rows = np.array([_reals(fields, path, lineno, columns)
+                         for lineno, fields in _fields_by_line(path)]).reshape(-1, columns)
+    return rows
+
+
 def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
     """A line's 12 reals (row-major upper 3x4) as a 4x4 matrix."""
     T = np.eye(4)
@@ -172,18 +213,9 @@ def _matrix_from_fields(fields, path, lineno) -> np.ndarray:
 def read_poses(path) -> np.ndarray:
     """KITTI pose file: one row-major upper 3x4 matrix per line, as an
     (N, 4, 4) float64 stack of the values as written, N >= 1."""
-    with open(path) as f:
-        lines = [(lineno, fields) for lineno, line in enumerate(f, start=1)
-                 if (fields := line.split())]
-    if not lines:
+    rows = _table(path, 12)
+    if not len(rows):
         raise FormatError(f"{path}: no poses")
-    try:
-        rows = np.array([fields for _, fields in lines], dtype=float)
-    except ValueError:    # a token that does not parse, or lines of unequal length
-        rows = None
-    if rows is None or rows.shape[1] != 12 or not np.isfinite(rows).all():
-        # the slow path: `_reals` names the first line at fault
-        rows = np.array([_reals(fields, path, lineno, 12) for lineno, fields in lines])
     T = np.zeros((len(rows), 4, 4))
     T[:, :3, :] = rows.reshape(-1, 3, 4)
     T[:, 3, 3] = 1.0
@@ -200,14 +232,13 @@ def write_poses(path, poses):
 def read_calib(path) -> dict[str, np.ndarray]:
     """KITTI calib file: `key: 12 reals` per line, parsed to 4x4 matrices."""
     out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            if ":" not in line:
-                raise FormatError(f"{path}: line {lineno} lacks a key")
-            key, rest = line.split(":", 1)
-            out[key.strip()] = _matrix_from_fields(rest.split(), path, lineno)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        if ":" not in line:
+            raise FormatError(f"{path}: line {lineno} lacks a key")
+        key, rest = line.split(":", 1)
+        out[key.strip()] = _matrix_from_fields(rest.split(), path, lineno)
     return out
 
 

@@ -68,7 +68,9 @@ def kitti_relative_errors(estimated: np.ndarray, ground_truth: np.ndarray,
     (gt_s^-1 gt_e)^-1 (est_s^-1 est_e) = (gt_e^-1 gt_s)(est_s^-1 est_e);
     translational error |t|/L (as %), rotational error angle/L (reported
     per 100 m). Each trajectory is inverted once, and each length is one
-    batched pass over all its segments.
+    batched pass over all its segments that forms only the error's upper
+    3x4 rows. Segment ends never decrease, so the starts that have an end
+    are a prefix of the strided starts, read as a slice rather than gathered.
     """
     est = np.asarray(estimated, dtype=float)
     gt = np.asarray(ground_truth, dtype=float)
@@ -78,18 +80,17 @@ def kitti_relative_errors(estimated: np.ndarray, ground_truth: np.ndarray,
         raise ValueError(f"stride must be at least 1, got {stride}")
     dist = path_lengths(gt)
     gt_inv, est_inv = np.linalg.inv(gt), np.linalg.inv(est)
-    starts = np.arange(0, len(gt), stride)
     report = SegmentErrorReport()
     for L in SEGMENT_LENGTHS:
-        ends = np.searchsorted(dist, dist[starts] + L)
-        has_end = ends < len(gt)
-        if not has_end.any():
+        ends = np.searchsorted(dist, dist[::stride] + L)
+        m = np.count_nonzero(ends < len(gt))
+        if not m:
             continue
-        s, e = starts[has_end], ends[has_end]
-        err = (gt_inv[e] @ gt[s]) @ (est_inv[s] @ est[e])
-        t_mean = 100.0 * np.mean(np.linalg.norm(err[:, :3, 3], axis=1) / L)         # percent
-        r_mean = np.degrees(np.mean(rotation_angle(err[:, :3, :3]) / L)) * 100.0  # deg per 100 m
-        report.per_length[L] = (float(t_mean), float(r_mean), len(s))
+        s, e = slice(0, m * stride, stride), ends[:m]
+        err = (gt_inv[e][:, :3] @ gt[s]) @ (est_inv[s] @ est[e])
+        t_mean = 100.0 * np.mean(np.linalg.norm(err[:, :, 3], axis=1) / L)         # percent
+        r_mean = np.degrees(np.mean(rotation_angle(err[:, :, :3]) / L)) * 100.0  # deg per 100 m
+        report.per_length[L] = (float(t_mean), float(r_mean), m)
     if report.per_length:
         t, r, counts = zip(*report.per_length.values())
         report.t_rel, report.r_rel = float(np.mean(t)), float(np.mean(r))

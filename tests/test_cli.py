@@ -499,6 +499,55 @@ class TestExitCodes:
         assert main(["eval", "--estimated", str(est), "--ground-truth", str(gt)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [1e-300 * np.eye(3), np.zeros((3, 3)), 1e200 * np.eye(3),
+                                       np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 1.002])],
+                             ids=["tiny", "singular", "huge", "reflection", "stretched"])
+    @pytest.mark.parametrize("bad_file", ["est", "gt"])
+    def test_data_error_on_a_pose_that_is_not_rigid(self, tmp_path, capsys, block, bad_file):
+        poses = np.asarray([Pose(t=[float(i), 0.0, 0.0]) for i in range(120)])
+        paths = {name: tmp_path / f"{name}.txt" for name in ("est", "gt")}
+        for name, path in paths.items():
+            write_poses(path, poses)
+        poses[7, :3, :3] = block
+        bad = paths[bad_file]
+        write_poses(bad, poses)
+        bad.write_text("\n\n" + bad.read_text())    # pose 7 is on line 10
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--estimated", str(paths["est"]), "--ground-truth", str(paths["gt"]),
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"data error: {bad}: line 10 is not a rigid pose: its "
+                                       f"3x3 block has max |R^T R - I| ")
+
+    def test_eval_accepts_a_six_digit_kitti_pose_file(self, tmp_path, capsys):
+        # rotations written to 6 significant digits are orthonormal to about 1e-6
+        rng = np.random.default_rng(5)
+        poses = [Pose.identity()]
+        for _ in range(399):
+            poses.append(poses[-1] @ Pose(q=rng.normal(0.0, 0.05, 3), t=[1.0, 0.1, 0.0]).matrix)
+        gt, est = tmp_path / "gt.txt", tmp_path / "est.txt"
+        for path, T in ((gt, np.asarray(poses)), (est, np.asarray(poses) * [1, 1, 1, 1.01])):
+            np.savetxt(path, T[:, :3, :].reshape(-1, 12), fmt="%.5e")
+        R = read_poses(gt)[:, :3, :3]
+        assert np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3)).max() > 1e-7
+        assert main(["eval", "--estimated", str(est), "--ground-truth", str(gt)]) == 0
+        # a scaled curved path: 1% of each chord, which is shorter than its segment
+        assert re.search(r"^ +overall +0\.9485 +0\.0000 +602$", capsys.readouterr().out,
+                         re.MULTILINE)
+
+    @pytest.mark.parametrize("command", ["eval", "export-traj"])
+    def test_data_error_on_a_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        bad, calib, out = tmp_path / "bad.txt", tmp_path / "calib.txt", tmp_path / "out.txt"
+        bad.write_bytes(b"\xff\xfe1 0 0 0 0 1 0 0 0 0 1 0\n")
+        calib.write_text("Tr: 0 -1 0 0 0 0 -1 0 1 0 0 0\n")
+        argv = (["eval", "--estimated", str(bad), "--ground-truth", str(bad)]
+                if command == "eval" else
+                ["export-traj", "--poses", str(bad), "--calib", str(calib)])
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: not UTF-8 text")
+        assert not out.exists()
+
     def test_data_error_on_malformed_scan(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"xyz")

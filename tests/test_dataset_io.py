@@ -1,9 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from liodom.dataset_io import (FormatError, lidar_to_camera_frame, read_calib,
+from liodom import dataset_io
+from liodom.dataset_io import (FormatError, _reals, lidar_to_camera_frame, read_calib,
                                read_oxts, read_poses, read_times, read_velodyne_bin,
                                window_imu, write_oxts, write_poses,
                                write_velodyne_bin)
@@ -133,6 +135,149 @@ class TestTimes:
         with pytest.raises(FormatError,
                            match=rf"^{re.escape(str(path))}: line 4 has time 0.1, smaller"):
             read_times(path)
+
+    # a file that starts with blank lines is read line by line, any other
+    # through one loadtxt call: both name the same line
+    @pytest.mark.parametrize("lead", ["", "\n" * 70], ids=["loadtxt", "line-by-line"])
+    def test_blank_lines_before_a_decrease_keep_its_line_number(self, tmp_path, lead):
+        path = tmp_path / "times.txt"
+        path.write_text(f"{lead}0.0\n\n  \n0.3\n\t\n\n0.25\n0.1\n")
+        line = lead.count("\n") + 7
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line {line} has time "
+                                              r"0\.25, smaller than the time before it \(0\.3\)$"):
+            read_times(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+    def test_a_file_with_no_time_is_an_empty_array(self, tmp_path, text):
+        path = tmp_path / "times.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = read_times(path)
+        assert times.shape == (0,) and times.dtype == np.float64
+
+
+def _read_poses_by_lines(path):
+    """The per-line pose reader that one loadtxt call replaced, kept as the
+    reference for what `read_poses` returns and raises."""
+    with open(path, encoding="utf-8") as f:
+        lines = [(lineno, fields) for lineno, line in enumerate(f, start=1)
+                 if (fields := line.split())]
+    if not lines:
+        raise FormatError(f"{path}: no poses")
+    try:
+        rows = np.array([fields for _, fields in lines], dtype=float)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 12 or not np.isfinite(rows).all():
+        rows = np.array([_reals(fields, path, lineno, 12) for lineno, fields in lines])
+    T = np.zeros((len(rows), 4, 4))
+    T[:, :3, :] = rows.reshape(-1, 3, 4)
+    T[:, 3, 3] = 1.0
+    return T
+
+
+_G = "1 0 0 0 0 1 0 0 0 0 1 0"
+_H = "0.36 0.48 -0.8 -1.5e3 -0.8 0.6 0 2.25 0.48 0.64 0.6 -7"
+# KITTI writes 6 significant digits
+_KITTI = "\n".join(" ".join(f"{v:.5e}" for v in row)
+                   for row in np.random.default_rng(9).normal(0.0, 30.0, (40, 12))) + "\n"
+POSE_FILES = {
+    "plain": f"{_G}\n{_H}\n",
+    "kitti-6-digits": _KITTI,
+    "blank-lines": f"\n{_G}\n\n\n{_H}\n\n",
+    "whitespace-lines": f"{_G}\n  \t \n{_H}\n   \n",
+    "leading-blank-start": "\n" * 70 + f"{_G}\n{_H}\n",
+    "crlf": f"{_G}\r\n\r\n{_H}\r\n",
+    "cr": f"{_G}\r{_H}\r",
+    "tabs": f"{_G}\n{_H}\n".replace(" ", "\t"),
+    "form-feed-line": f"{_G}\n\f\n{_H}\n",
+    "no-trailing-newline": f"{_G}\n{_H}",
+    "nbsp": f"{_G}\n{_H}\n".replace(" ", "\xa0", 5),
+    "nbsp-line": f"{_G}\n\xa0\n{_H}\n",
+    "bom": f"\ufeff{_G}\n{_H}\n",
+    "hash-line": f"{_G}\n# comment\n{_H}\n",
+    "hash-suffix": f"{_G} # comment\n",
+    "11-fields": " ".join(["0"] * 11) + "\n",
+    "mixed-12-11": f"{_G}\n" + " ".join(["0"] * 11) + f"\n{_H}\n",
+    "24-fields": f"{_G} {_H}\n",
+    "nan": f"{_G}\n{_H.replace('2.25', 'nan')}\n",
+    "inf": f"{_G}\n{_H.replace('-7', '-inf')}\n",
+    "overflow": f"{_G}\n{_H.replace('-1.5e3', '1e400')}\n",
+    "bad-token": f"{_G}\n{_H.replace('2.25', '2.2.5')}\n",
+    "underscore": f"{_G}\n{_H.replace('-1.5e3', '-1_500')}\n",
+    "empty": "",
+    "blank-only": "\n  \n\t\n\f\n",
+}
+
+
+class TestPoseFileTable:
+    @pytest.mark.parametrize("name", POSE_FILES)
+    def test_matches_the_per_line_reader(self, tmp_path, name):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(POSE_FILES[name].encode())
+        try:
+            expected = _read_poses_by_lines(path)
+        except FormatError as exc:
+            expected = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, FormatError):
+                with pytest.raises(FormatError, match=f"^{re.escape(str(expected))}$"):
+                    read_poses(path)
+            else:
+                got = read_poses(path)
+                assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+    def test_the_table_covers_both_outcomes(self, tmp_path):
+        outcomes = {}
+        for name, text in POSE_FILES.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(text.encode())
+            try:
+                outcomes[name] = len(_read_poses_by_lines(path))
+            except FormatError as exc:
+                outcomes[name] = str(exc).split(": ", 1)[1]
+        assert outcomes["kitti-6-digits"] == 40 and outcomes["underscore"] == 2
+        assert outcomes["nbsp"] == outcomes["form-feed-line"] == outcomes["cr"] == 2
+        assert outcomes["empty"] == outcomes["blank-only"] == "no poses"
+        assert outcomes["bom"].startswith("line 1: could not convert")
+        assert outcomes["mixed-12-11"] == "line 2 has 11 fields, need 12"
+
+    def test_a_well_formed_file_is_one_loadtxt_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "poses.txt"
+        path.write_text(POSE_FILES["kitti-6-digits"])
+        expected = _read_poses_by_lines(path)
+
+        def no_per_line_read(path):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(dataset_io, "_fields_by_line", no_per_line_read)
+        assert read_poses(path).tobytes() == expected.tobytes()
+
+
+class TestNotUtf8:
+    BAD = b"\xff\xfe1 0 0 0 0 1 0 0 0 0 1 0\n"
+
+    @pytest.mark.parametrize("read", [read_poses, read_times, read_calib],
+                             ids=["poses", "times", "calib"])
+    def test_a_text_file_that_is_not_utf8_is_a_format_error(self, tmp_path, read):
+        path = tmp_path / "data.txt"
+        path.write_bytes(self.BAD)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read(path)
+
+    def test_past_the_first_chunk(self, tmp_path):
+        # a bad byte that the loadtxt call meets, not the first read
+        path = tmp_path / "poses.txt"
+        path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\n" * 2000 + self.BAD)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_poses(path)
+
+    def test_an_oxts_record(self, tmp_path):
+        (tmp_path / "0.txt").write_bytes(b"\xff" + b" 0" * 25)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / '0.txt'))}: not UTF-8"):
+            read_oxts(tmp_path)
 
 
 class TestPoses:

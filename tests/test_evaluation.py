@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liodom.evaluation import SEGMENT_LENGTHS, accumulate, kitti_relative_errors
-from liodom.geometry import Pose, compose
+from liodom.evaluation import (SEGMENT_LENGTHS, accumulate, kitti_relative_errors,
+                               path_lengths)
+from liodom.geometry import Pose, compose, rotation_angle
 
 
 def _straight_line(n=1200, step=1.0):
@@ -102,6 +103,43 @@ def test_agrees_with_brute_force_oracle():
             assert report.per_length[L][2] == per[L][2]
             assert abs(report.per_length[L][0] - per[L][0]) < 1e-9
             assert abs(report.per_length[L][1] - per[L][1]) < 1e-9
+
+
+def _per_length_by_gather(est, gt, stride):
+    """The segment errors with each length's starts and ends gathered by
+    index and every 4x4 error formed: the formula that prefix slices and
+    3x4 rows replaced, kept as the reference for their floats."""
+    dist = path_lengths(gt)
+    gt_inv, est_inv = np.linalg.inv(gt), np.linalg.inv(est)
+    starts = np.arange(0, len(gt), stride)
+    per = {}
+    for L in SEGMENT_LENGTHS:
+        ends = np.searchsorted(dist, dist[starts] + L)
+        has_end = ends < len(gt)
+        if not has_end.any():
+            continue
+        s, e = starts[has_end], ends[has_end]
+        err = (gt_inv[e] @ gt[s]) @ (est_inv[s] @ est[e])
+        t_mean = 100.0 * np.mean(np.linalg.norm(err[:, :3, 3], axis=1) / L)
+        r_mean = np.degrees(np.mean(rotation_angle(err[:, :3, :3]) / L)) * 100.0
+        per[L] = (float(t_mean), float(r_mean), len(s))
+    return per
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_prefix_slices_give_the_gathered_floats(stride):
+    rng = np.random.default_rng(20 + stride)
+    for n in (450, 997):
+        gt = np.asarray(_random_trajectory(rng, n=n))
+        est = gt @ np.asarray([Pose(q=rng.normal(0, 0.002, 3), t=rng.normal(0, 0.05, 3))
+                               for _ in range(n)])
+        report = kitti_relative_errors(est, gt, stride=stride)
+        expected = _per_length_by_gather(est, gt, stride)
+        assert list(report.per_length) == list(expected) and len(expected) >= 4
+        for L, triple in expected.items():
+            assert np.array_equal(report.per_length[L], triple), L
+        assert report.t_rel == np.mean([t for t, _, _ in expected.values()])
+        assert report.r_rel == np.mean([r for _, r, _ in expected.values()])
 
 
 def test_short_trajectory_has_no_segments():
