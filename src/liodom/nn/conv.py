@@ -47,17 +47,30 @@ class Conv2d(Module):
     """2D cross-correlation: im2col, then one BLAS GEMM per contraction.
 
     Forward keeps its input, not its columns, which are k*k times larger;
-    backward rebuilds the same columns from it.
+    backward rebuilds the same columns from it for the weight gradient.
+
+    The input gradient takes one of two paths, by the layer's shape. With
+    stride 1 and no more output than input channels it is itself a stride-1
+    correlation: the output gradient, framed by k-1-pad, against the
+    flipped, channel-transposed kernel, as one im2col and one GEMM. Its columns are
+    then no larger than the scatter's. Otherwise it is `w.T @ go` scattered
+    back by `_col2im`'s k*k strided adds: a stride-2 layer's correlation
+    would need a 2x-dilated gradient with 4x the columns, and a widening
+    layer's (the 6->16 paper stem's) columns would be larger by out/in.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, stride: int = 1,
                  pad: int | None = None, *, rng: np.random.Generator):
+        pad = kernel // 2 if pad is None else pad
+        for name, value, least in (("kernel", kernel, 1), ("stride", stride, 1), ("pad", pad, 0)):
+            if value < least:
+                raise ValueError(f"Conv2d {name} must be at least {least}, got {value}")
         fan_in = in_ch * kernel * kernel
         self.weight = Param(uniform_init(rng, (out_ch, in_ch, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(out_ch))
         self.kernel = kernel
         self.stride = stride
-        self.pad = kernel // 2 if pad is None else pad
+        self.pad = pad
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.weight.value.dtype)
@@ -72,12 +85,31 @@ class Conv2d(Module):
         cols, _ = _im2col(x, self.kernel, self.stride, self.pad)
         B = grad_out.shape[0]
         go = grad_out.reshape(B, grad_out.shape[1], -1)
-        w = self.weight.value.reshape(self.weight.value.shape[0], -1)
         self.weight.grad += (go @ cols.transpose(0, 2, 1)).sum(0).reshape(self.weight.value.shape)
         del cols    # freed before the input gradient's columns, which are as large
         self.bias.grad += go.sum(axis=(0, 2))
-        gcols = w.T @ go
-        return _col2im(gcols, x.shape, self.kernel, self.stride, self.pad)
+        k, (O, C) = self.kernel, self.weight.value.shape[:2]
+        if self.stride != 1 or O > C:
+            w = self.weight.value.reshape(O, -1)
+            return _col2im(w.T @ go, x.shape, k, self.stride, self.pad)
+        # Framed by k-1-pad, the correlation's output is x's own H x W. A pad
+        # above k-1 makes the frame negative: crop the output gradient's
+        # border instead, whose pixels reach only x's zero padding.
+        frame = k - 1 - self.pad
+        if frame < 0:
+            grad_out = grad_out[:, :, -frame:frame, -frame:frame]
+        gcols, _ = _im2col(grad_out, k, 1, max(frame, 0))
+        w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, -1)
+        # The product fills the head of a block the size of the padded input,
+        # the block whose crop the scatter returns, so blocks of one size
+        # recycle from layer to layer. With blocks of the unpadded size malloc
+        # kept more free memory: three paper-scale training units on two
+        # threads peaked at 246-270 MB RSS, against 245-253 MB this way.
+        H, W = x.shape[2:]
+        gx = np.empty(B * C * (H + 2 * self.pad) * (W + 2 * self.pad),
+                      np.result_type(w_flip, gcols))[:B * C * H * W]
+        np.matmul(w_flip, gcols, out=gx.reshape(B, C, H * W))
+        return gx.reshape(x.shape)
 
 
 class ChannelNorm(Module):

@@ -41,9 +41,12 @@ HEAD_TYPES = ("attention", "fc-activation")
 MATCHING = ("nearest", "pixel")
 # The fewest stem output elements (B * widths[0] * H * W) at which the two
 # map encoders run on two threads. Below it numpy's small array loops
-# hold the GIL, and the interpreter's switch interval serialises the threads:
-# at train-smoke's 9,216 both encoders ran 2x slower concurrently, and at
-# the paper's 599,040 1.6-1.9x faster (ROADMAP, "Not levers").
+# hold the GIL, and the interpreter's switch interval serialises the threads.
+# Both encoders' forward plus backward, medians of two runs, one BLAS thread
+# on a 2-vCPU host: at train-smoke's 9,216 they ran 1.8x slower concurrently
+# (7.4-7.6 against 13.4-14.1 ms), at 16,384 1.4x slower, at 2^15 even
+# (1.02-1.07x faster), and at the paper's 599,040 1.6-1.7x faster
+# (ROADMAP, "Not levers").
 CONCURRENT_STEM_SIZE = 2 ** 15
 
 

@@ -8,6 +8,7 @@ from liodom.nn import (Adam, AttentionHead, ChannelNorm, Conv2d,
                        FcActivationHead, Linear, LSTM, MapEncoder, Module, Param,
                        ResBlock, StepLR, central_difference, gradcheck,
                        load_checkpoint, save_checkpoint)
+from liodom.nn import conv
 from liodom.nn.conv import _im2col
 from liodom.nn.core import sigmoid
 
@@ -50,13 +51,47 @@ def test_lstm_gradcheck(seed):
     assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
 
 
+# Conv2d's input gradient scatters through `_col2im` when the layer widens
+# or strides, and is a correlation when it keeps or narrows at stride 1, so
+# each conv check runs a widening, a square and a narrowing layer.
+CONV_CHANNELS = ((2, 3), (3, 3), (3, 2))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv2d_gradcheck(seed):
-    rng = np.random.default_rng(seed)
-    m = Conv2d(2, 3, stride=2 if seed % 2 else 1, rng=rng)
-    x = rng.standard_normal((2, 2, 6, 8))
-    assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4
-    assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4
+    for in_ch, out_ch in CONV_CHANNELS:
+        rng = np.random.default_rng(seed)
+        m = Conv2d(in_ch, out_ch, stride=2 if seed % 2 else 1, rng=rng)
+        x = rng.standard_normal((2, in_ch, 6, 8))
+        assert gradcheck(m, x, rng, n_checks=5).worst < 1e-4, (in_ch, out_ch)
+        assert gradcheck(m, x, rng, n_checks=8, wrt_input=True).worst < 1e-4, (in_ch, out_ch)
+
+
+@pytest.mark.parametrize("arg", [{"kernel": 0}, {"stride": 0}, {"pad": -1}],
+                         ids=["kernel", "stride", "pad"])
+def test_conv2d_rejects_impossible_geometry(arg):
+    with pytest.raises(ValueError, match=next(iter(arg))):
+        Conv2d(2, 3, **arg, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("in_ch, out_ch, stride, col2im_calls", [
+    (3, 3, 1, 0), (3, 2, 1, 0), (6, 4, 1, 0),
+    (3, 3, 2, 1), (2, 3, 1, 1), (6, 16, 1, 1)])
+def test_conv2d_input_gradient_path_follows_layer_shape(monkeypatch, in_ch, out_ch, stride,
+                                                        col2im_calls):
+    calls = []
+    col2im = conv._col2im
+
+    def counted(*args):
+        calls.append(args)
+        return col2im(*args)
+
+    monkeypatch.setattr(conv, "_col2im", counted)
+    rng = np.random.default_rng(0)
+    m = Conv2d(in_ch, out_ch, stride=stride, rng=rng)
+    x = rng.standard_normal((1, in_ch, 6, 8))
+    m.backward(np.ones(m(x).shape))
+    assert len(calls) == col2im_calls
 
 
 def test_gradcheck_that_compares_nothing_fails():
@@ -167,16 +202,18 @@ def _direct_conv_backward(x, w, grad_out, stride, pad):
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 def test_conv2d_backward_matches_direct_adjoint(k, stride, pad):
-    rng = np.random.default_rng(10 * k + 3 * stride + pad)
-    m = Conv2d(2, 3, k, stride=stride, pad=pad, rng=rng)
-    x = rng.standard_normal((2, 2, 5, 7))
-    g = rng.standard_normal(m(x).shape)
-    gx = m.backward(g)
-    gw, gb, gx_want = _direct_conv_backward(x, m.weight.value, g, stride, pad)
-    for got, want in ((m.weight.grad, gw), (m.bias.grad, gb), (gx, gx_want)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for in_ch, out_ch in CONV_CHANNELS:
+        rng = np.random.default_rng(10 * k + 3 * stride + pad)
+        m = Conv2d(in_ch, out_ch, k, stride=stride, pad=pad, rng=rng)
+        x = rng.standard_normal((2, in_ch, 5, 7))
+        g = rng.standard_normal(m(x).shape)
+        gx = m.backward(g)
+        gw, gb, gx_want = _direct_conv_backward(x, m.weight.value, g, stride, pad)
+        for got, want in ((m.weight.grad, gw), (m.bias.grad, gb), (gx, gx_want)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=f"{in_ch} -> {out_ch} channels")
 
 
 def _im2col_by_offsets(x, k, stride, pad):
